@@ -51,8 +51,6 @@ type DegradedSpec struct {
 	// has converged when measurement opens and the window sees the steady
 	// degraded fabric, not the transient.
 	FaultNs, WarmupNs, MeasureNs sim.Time
-	// Shards is the per-run shard count (see ResolveShards).
-	Shards int
 	// Seed drives the link samples and every simulation.
 	Seed int64
 }
@@ -192,7 +190,6 @@ func DegradedStudy(spec DegradedSpec) ([]DegradedRow, error) {
 	if spec.FaultNs <= 0 || spec.FaultNs >= spec.WarmupNs {
 		return nil, fmt.Errorf("experiment: degraded FaultNs %d must fall inside (0, WarmupNs %d)", spec.FaultNs, spec.WarmupNs)
 	}
-	shards := ResolveShards(tr, spec.Shards)
 
 	// Each scenario is one fault draw both schemes run against. The links
 	// axis samples individual inter-switch links; the switches axis takes
@@ -340,7 +337,6 @@ func DegradedStudy(spec DegradedSpec) ([]DegradedRow, error) {
 			MeasureNs:    spec.MeasureNs,
 			FaultPlan:    plan,
 			VerifyEpochs: true,
-			Shards:       shards,
 			Seed:         sc.seed,
 		})
 		if err != nil {

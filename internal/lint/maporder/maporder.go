@@ -44,10 +44,10 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // sinkNames are callee names (lowercased) that emit in call order. The
-// sharded engine's barrier verbs are included: insert feeds a calendar
-// bucket whose slot order is append order, and merge/distribute move window
-// buffers between lanes in their canonical (time, sequence) order — calling
-// any of them per map key would replace that order with map iteration order.
+// ordered-collection verbs are included: insert feeds a calendar bucket
+// whose slot order is append order, and merge/distribute move buffers in a
+// canonical order — calling any of them per map key would replace that
+// order with map iteration order.
 // The subnet manager's sweep-diff verbs are included too: diff compares the
 // discovered port state against the SM's shadow view and reports deltas in
 // call order, observe feeds liveness samples to the failover automaton (whose

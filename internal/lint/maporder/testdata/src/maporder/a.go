@@ -119,8 +119,8 @@ func badInsert(s *scheduler, pending map[int]int) {
 	}
 }
 
-// badMerge merges per-shard buffers in map iteration order instead of the
-// canonical lane order.
+// badMerge merges buffers in map iteration order instead of a canonical
+// order.
 func badMerge(dst *scheduler, lanes map[int]*scheduler) {
 	for _, l := range lanes {
 		dst.merge(l) // want `call to dst\.merge inside range over map`

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"mlid/internal/ib"
 	"mlid/internal/stats"
@@ -160,15 +161,6 @@ type Config struct {
 	VerifyEpochs bool
 	// Seed makes the run reproducible.
 	Seed int64
-	// Shards partitions the fabric into that many per-leaf-group event
-	// engines run on worker goroutines under a conservative time-window
-	// barrier (see DESIGN.md, "Sharded engine and conservative lookahead").
-	// Results are bit-for-bit identical for every value: 0 or 1 keeps the
-	// classic single-engine path, and any N is clamped to the tree's leaf
-	// group count. Configurations the sharded path cannot serve exactly
-	// (packet tracing, an external LatencyHist sink, FlyNs < 1) silently
-	// run single-engine.
-	Shards int
 	// HeapOnlyScheduler disables the engine's calendar-queue fast path so
 	// every event takes the fallback heap. Results must not depend on it:
 	// it exists so determinism suites outside this package (the chaos soak)
@@ -271,6 +263,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// ConfigError reports a Config field holding a value Run cannot simulate.
+type ConfigError struct {
+	Field string
+	Value any
+	// Want describes the accepted values.
+	Want string
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("sim: %s must be %s, got %v", e.Field, e.Want, e.Value)
+}
+
 // validate rejects inconsistent configurations.
 func (c Config) validate() error {
 	if c.Subnet == nil {
@@ -279,20 +283,22 @@ func (c Config) validate() error {
 	if c.Pattern == nil {
 		return fmt.Errorf("sim: Config.Pattern is required")
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("sim: Shards must be >= 0, got %d", c.Shards)
+	if p, ok := c.Pattern.(interface{ Validate(nodes int) error }); ok {
+		if err := p.Validate(c.Subnet.Tree.Nodes()); err != nil {
+			return err
+		}
 	}
 	if c.DataVLs < 1 || c.DataVLs > 15 {
-		return fmt.Errorf("sim: DataVLs must be 1..15 (IBA allows up to 15 data VLs), got %d", c.DataVLs)
+		return &ConfigError{Field: "DataVLs", Value: c.DataVLs, Want: "1..15 (IBA allows up to 15 data VLs)"}
 	}
 	if c.PacketSize < 1 {
-		return fmt.Errorf("sim: PacketSize must be positive, got %d", c.PacketSize)
+		return &ConfigError{Field: "PacketSize", Value: c.PacketSize, Want: "positive"}
 	}
 	if c.BufPackets < 1 {
-		return fmt.Errorf("sim: BufPackets must be >= 1, got %d", c.BufPackets)
+		return &ConfigError{Field: "BufPackets", Value: c.BufPackets, Want: ">= 1"}
 	}
-	if c.OfferedLoad <= 0 {
-		return fmt.Errorf("sim: OfferedLoad must be positive, got %v", c.OfferedLoad)
+	if !(c.OfferedLoad > 0) || math.IsInf(c.OfferedLoad, 1) {
+		return &ConfigError{Field: "OfferedLoad", Value: c.OfferedLoad, Want: "positive and finite"}
 	}
 	if c.MeasureNs <= 0 || c.WarmupNs < 0 {
 		return fmt.Errorf("sim: bad window: warmup %d, measure %d", c.WarmupNs, c.MeasureNs)

@@ -373,9 +373,7 @@ type faultRun struct {
 	lastRepairNs Time
 	lastBroken   int
 
-	// Config.VerifyEpochs counters. On the shared faultRun (not the Sim)
-	// because only barrier-aligned lane-0 events bump them in a sharded
-	// run, so they need no per-lane merge.
+	// Config.VerifyEpochs counters.
 	verifiedEpochs int
 	verifyWarnings int
 
@@ -384,9 +382,7 @@ type faultRun struct {
 	reselMask  []uint64
 	reselEpoch []uint32
 
-	// inband is the in-band SM state (insm.go), nil under the oracle. Like
-	// the verify counters it lives on the shared faultRun: only
-	// barrier-aligned coordinator events touch it in a sharded run.
+	// inband is the in-band SM state (insm.go), nil under the oracle.
 	inband *inbandRun
 }
 
@@ -462,9 +458,7 @@ func (s *Sim) linkEnds(sw int32, port int) (a, b int32) {
 
 // linkDown kills both directions of the link: packets buffered on the dead
 // out-ports are dropped (their held credits return so upstream state stays
-// consistent), and the link is recorded for the next SM sweep. The sharded
-// coordinator calls the two halves — killPort on each transmitter's owning
-// lane, markLinkDown once — instead of this wrapper.
+// consistent), and the link is recorded for the next SM sweep.
 func (s *Sim) linkDown(sw int32, port int) {
 	a, b := s.linkEnds(sw, port)
 	s.killPort(a)
@@ -530,8 +524,8 @@ func (s *Sim) flushDead(pid int32) {
 	base := int(pid) * s.vls
 	for vl := 0; vl < s.vls; vl++ {
 		i := base + vl
-		for s.queues[i].len() > 0 {
-			p := s.queues[i].popFront()
+		for s.queued(pid, vl) > 0 {
+			p := s.dequeue(pid, vl)
 			s.cv[i].occupancy--
 			s.droppedOnDeadLink++
 			s.dropPkt(p)

@@ -149,10 +149,14 @@ type Sim struct {
 	// counters share one struct so the flow-control updates a packet makes at
 	// the same (port, VL) touch one cache line, not two parallel arrays.
 	cv      []vlFlow
-	queues  []pktFIFO // packets in the output buffer, FIFO
+	queues  []pktFIFO // switch ports only: packets in the output buffer, FIFO
 	waiting [][]*pkt  // packets stuck in input buffers upstream of the
 	// crossbar, waiting for an output-buffer slot
 	rrIn []int32 // round-robin pointer over input ports (crossbar arbitration)
+	// srcQ holds the source ports' backlogs, indexed node*vls+vl, in place
+	// of their queues entries (backlog.go); srcFree recycles their blocks.
+	srcQ    []srcQueue
+	srcFree []*srcBlock
 
 	// lfts holds each switch's live forwarding table; fwd16/fwd32 is its
 	// compiled form — one flat row of lftSize entries per switch mapping DLID
@@ -180,9 +184,7 @@ type Sim struct {
 	// selector is the resolved path-selection policy (Config.PathSelect,
 	// rank when nil); selState is the per-(src,dst) flow-state array
 	// stateful selectors pin choices in (flowspray's pin, adaptive's current
-	// path), allocated only when the selector needs it. Entry (src,dst) is
-	// touched only by events on src's lane, so the array — shared by a
-	// sharded run's lanes like cv — stays race-free and deterministic.
+	// path), allocated only when the selector needs it.
 	// selCtx is the reused per-call context: selectors receive *SelectContext
 	// through an interface, and a stack-local would escape to the heap on
 	// every packet.
@@ -238,16 +240,7 @@ type Sim struct {
 	// reliable-transport state (Config.Transport); nil when disabled.
 	transport *transportRun
 
-	// shard is non-nil only inside a sharded run (Config.Shards > 1): the
-	// lane's window-recording state plus its link back to the coordinator.
-	// nil on the classic single-engine path, whose schedule() then forwards
-	// straight to the embedded engine.
-	shard *shardCtx
-
-	// live-fault state and counters (Config.FaultPlan). A pointer so the
-	// sharded engine's lanes — shallow copies of one master Sim — share a
-	// single fault state, which only barrier-aligned coordinator events
-	// mutate.
+	// live-fault state and counters (Config.FaultPlan).
 	faults              *faultRun
 	droppedTotal        int64
 	droppedWindow       int64
@@ -262,28 +255,11 @@ type Sim struct {
 // nodePid returns the global port id of a node's source port.
 func (s *Sim) nodePid(node int32) int32 { return s.srcBase + node }
 
-// schedule enqueues an event, shadowing the embedded engine's method: the
-// classic path forwards straight to the engine, while a sharded lane routes
-// through its shard context (recording the call for the barrier replay, or —
-// outside a window — inserting directly with a coordinator-assigned
-// sequence). The single nil check is the sharded engine's only cost on the
-// classic hot path.
-func (s *Sim) schedule(t Time, ev event) {
-	if s.shard == nil {
-		s.engine.schedule(t, ev)
-		return
-	}
-	s.shard.scheduleSharded(s, t, ev)
-}
-
 // Run executes one simulation and returns its measurements.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
-	}
-	if n := cfg.effectiveShards(); n > 1 {
-		return runSharded(cfg, n)
 	}
 	s := build(cfg)
 	s.end = cfg.WarmupNs + cfg.MeasureNs
@@ -314,8 +290,7 @@ func Run(cfg Config) (Result, error) {
 }
 
 // buildResult assembles a finished run's Result from the Sim's accumulated
-// state. Shared by the classic path and the sharded path (which first merges
-// every lane's counters and collectors back into the master Sim).
+// state.
 func (s *Sim) buildResult(horizon Time, events int64) Result {
 	cfg := s.cfg
 	res := Result{
@@ -497,24 +472,18 @@ func build(cfg Config) *Sim {
 	numPorts := S*M + N
 	s.ports = make([]portState, numPorts)
 	s.cv = make([]vlFlow, numPorts*vls)
-	s.queues = make([]pktFIFO, numPorts*vls)
+	s.queues = make([]pktFIFO, S*M*vls)
+	s.srcQ = make([]srcQueue, N*vls)
 	s.waiting = make([][]*pkt, numPorts*vls)
 	s.rrIn = make([]int32, numPorts*vls)
 	for i := range s.cv {
 		s.cv[i].credits = int32(cfg.BufPackets)
 	}
-	// Slab-back the FIFOs: a switch output buffer holds at most BufPackets
-	// per VL (occupancy-gated), so its backing array is sized exactly;
-	// source queues are unbounded (open-loop backlog) and get a modest
-	// starting capacity, growing off-slab past it.
+	// Slab-back the switch FIFOs: an output buffer holds at most BufPackets
+	// per VL (occupancy-gated), so its backing array is sized exactly.
 	swSlab := make([]*pkt, S*M*vls*cfg.BufPackets)
-	for i := 0; i < S*M*vls; i++ {
+	for i := range s.queues {
 		s.queues[i].items = swSlab[i*cfg.BufPackets : i*cfg.BufPackets : (i+1)*cfg.BufPackets]
-	}
-	const srcCap = 16
-	srcSlab := make([]*pkt, N*vls*srcCap)
-	for i := 0; i < N*vls; i++ {
-		s.queues[S*M*vls+i].items = srcSlab[i*srcCap : i*srcCap : (i+1)*srcCap]
 	}
 	s.lfts = make([]*ib.LFT, S)
 	for sw := 0; sw < S; sw++ {
@@ -998,7 +967,7 @@ func (s *Sim) completeTransfer(pid int32, p *pkt) {
 		s.schedule(free+s.cfg.FlyNs, event{kind: evCredit, a: p.upstream, b: int32(vl)})
 		p.upstream = noPort
 	}
-	s.queues[int(pid)*s.vls+vl].push(p)
+	s.enqueue(pid, p)
 	s.kick(pid)
 }
 
@@ -1012,11 +981,10 @@ func (s *Sim) kick(pid int32) {
 	}
 	base := int(pid) * s.vls
 	n := s.vls
-	qs := s.queues[base : base+n]
 	if pt.busyUntil > s.now {
 		// Re-arbitrate when the link frees, if anything is pending.
-		for vl := range qs {
-			if qs[vl].len() > 0 {
+		for vl := 0; vl < n; vl++ {
+			if s.queued(pid, vl) > 0 {
 				pt.kickArmed = true
 				s.schedule(pt.busyUntil, event{kind: evKick, a: pid})
 				return
@@ -1027,7 +995,7 @@ func (s *Sim) kick(pid int32) {
 	cr := s.cv[base : base+n]
 	for i := 0; i < n; i++ {
 		vl := (int(pt.rrNext) + i) % n
-		if qs[vl].len() > 0 && cr[vl].credits > 0 {
+		if cr[vl].credits > 0 && s.queued(pid, vl) > 0 {
 			pt.rrNext = int32((vl + 1) % n)
 			s.transmit(pid, vl)
 			s.kick(pid) // arm for the next pending packet, if any
@@ -1039,7 +1007,7 @@ func (s *Sim) kick(pid int32) {
 // transmit starts serializing the head packet of the VL onto the link.
 func (s *Sim) transmit(pid int32, vl int) {
 	i := int(pid)*s.vls + vl
-	p := s.queues[i].popFront()
+	p := s.dequeue(pid, vl)
 	s.cv[i].credits--
 	if s.cv[i].credits < 0 {
 		s.fail(fmt.Errorf("sim: credit underflow on VL %d (model bug)", vl))

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -39,6 +41,40 @@ func TestConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
+		}
+	}
+}
+
+// TestConfigRejectsBadLoad pins the load check: NaN slipped past a plain
+// "<= 0" test and the run never terminated, and +Inf schedules every
+// generation at one instant. Each must fail validation with a *ConfigError
+// before any event runs.
+func TestConfigRejectsBadLoad(t *testing.T) {
+	sn := mustSubnet(t, 4, 2, core.NewMLID())
+	for _, load := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.5} {
+		_, err := Run(Config{Subnet: sn, Pattern: traffic.Uniform{Nodes: sn.Tree.Nodes()}, OfferedLoad: load})
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != "OfferedLoad" {
+			t.Errorf("load %v: got %v, want a *ConfigError on OfferedLoad", load, err)
+		}
+	}
+}
+
+// TestConfigRejectsOutOfRangeHotspot pins the hotspot range check: a hotspot
+// outside [0, nodes) used to panic with an index out of range mid-run.
+func TestConfigRejectsOutOfRangeHotspot(t *testing.T) {
+	sn := mustSubnet(t, 4, 2, core.NewMLID())
+	nodes := sn.Tree.Nodes()
+	for _, h := range []int{9999, -1, nodes} {
+		for _, pat := range []traffic.Pattern{
+			traffic.Centric{Nodes: nodes, Hotspot: h, Fraction: 0.5},
+			traffic.MultiHotspot{Nodes: nodes, Hotspots: []int{0, h}, Fraction: 0.5},
+		} {
+			_, err := Run(Config{Subnet: sn, Pattern: pat, OfferedLoad: 0.1})
+			var re *traffic.NodeRangeError
+			if !errors.As(err, &re) || re.ID != h {
+				t.Errorf("%s hotspot %d: got %v, want a *traffic.NodeRangeError", pat.Name(), h, err)
+			}
 		}
 	}
 }

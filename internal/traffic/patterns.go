@@ -21,6 +21,16 @@ func (m MultiHotspot) Name() string {
 	return fmt.Sprintf("hotspot%dx%.0f%%", len(m.Hotspots), m.Fraction*100)
 }
 
+// Validate reports a hotspot outside a fabric of the given node count.
+func (m MultiHotspot) Validate(nodes int) error {
+	for _, h := range m.Hotspots {
+		if err := checkNode("hotspot", h, nodes); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Dest implements Pattern. A source that is itself a hotspot draws among the
 // remaining hotspots, so every source realizes the configured Fraction toward
 // the hotspot set (src being the only hotspot is the sole exception).

@@ -38,6 +38,26 @@ func (u Uniform) Dest(src int, rng *rand.Rand) int {
 	return d
 }
 
+// NodeRangeError reports a pattern parameter naming a node outside the
+// fabric's [0, Nodes) range.
+type NodeRangeError struct {
+	Param string // the offending parameter, e.g. "hotspot"
+	ID    int
+	Nodes int
+}
+
+func (e *NodeRangeError) Error() string {
+	return fmt.Sprintf("traffic: %s %d out of range [0, %d)", e.Param, e.ID, e.Nodes)
+}
+
+// checkNode returns a *NodeRangeError unless id is in [0, nodes).
+func checkNode(param string, id, nodes int) error {
+	if id < 0 || id >= nodes {
+		return &NodeRangeError{Param: param, ID: id, Nodes: nodes}
+	}
+	return nil
+}
+
 // Centric is the paper's hotspot pattern: with probability Fraction the
 // destination is the fixed Hotspot node; otherwise it is uniform over the
 // remaining nodes. The paper simulates Fraction = 0.5 ("50 out of 100
@@ -52,6 +72,11 @@ type Centric struct {
 // Name implements Pattern.
 func (c Centric) Name() string {
 	return fmt.Sprintf("centric%.0f%%", c.Fraction*100)
+}
+
+// Validate reports a hotspot outside a fabric of the given node count.
+func (c Centric) Validate(nodes int) error {
+	return checkNode("hotspot", c.Hotspot, nodes)
 }
 
 // Dest implements Pattern.
@@ -134,7 +159,8 @@ func Shift(nodes, k int) PermutationPattern {
 }
 
 // ByName builds one of the named patterns: "uniform", "centric" (50% to node
-// hotspot), "bitcomplement", "bitreversal", "shift".
+// hotspot), "bitcomplement", "bitreversal", "shift". A centric hotspot
+// outside [0, nodes) is a *NodeRangeError.
 func ByName(name string, nodes, hotspot int) (Pattern, error) {
 	if nodes < 2 {
 		return nil, fmt.Errorf("traffic: need at least 2 nodes, got %d", nodes)
@@ -143,7 +169,11 @@ func ByName(name string, nodes, hotspot int) (Pattern, error) {
 	case "uniform":
 		return Uniform{Nodes: nodes}, nil
 	case "centric":
-		return Centric{Nodes: nodes, Hotspot: hotspot, Fraction: 0.5}, nil
+		c := Centric{Nodes: nodes, Hotspot: hotspot, Fraction: 0.5}
+		if err := c.Validate(nodes); err != nil {
+			return nil, err
+		}
+		return c, nil
 	case "bitcomplement":
 		return BitComplement(nodes), nil
 	case "bitreversal":

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -141,5 +142,21 @@ func TestQuickValidDestinations(t *testing.T) {
 		if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(10))}); err != nil {
 			t.Errorf("%s: %v", p.Name(), err)
 		}
+	}
+}
+
+// TestByNameRejectsOutOfRangeHotspot: a centric hotspot outside [0, nodes)
+// is a *NodeRangeError at construction, not an index panic in the first
+// packet's delivery.
+func TestByNameRejectsOutOfRangeHotspot(t *testing.T) {
+	for _, h := range []int{9999, -1, 16} {
+		_, err := ByName("centric", 16, h)
+		var re *NodeRangeError
+		if !errors.As(err, &re) || re.ID != h || re.Nodes != 16 {
+			t.Errorf("hotspot %d: got %v, want a *NodeRangeError", h, err)
+		}
+	}
+	if _, err := ByName("centric", 16, 15); err != nil {
+		t.Errorf("hotspot 15 of 16: %v", err)
 	}
 }
