@@ -299,7 +299,7 @@ func TestInBandSMValidation(t *testing.T) {
 	// A master on the defaulted standby's leaf (but a different node)
 	// collides at the leaf-switch level, not the node level.
 	cfg := inbandCfg(t, &FaultPlan{
-		Faults:   []LinkFault{{Switch: 2, Port: 2, DownNs: 52_000}},
+		Faults: []LinkFault{{Switch: 2, Port: 2, DownNs: 52_000}},
 		// Equal fields request the default standby (node 7) — which shares
 		// leaf 5 with master node 6.
 		InBandSM: &InBandSMConfig{MasterNode: 6, StandbyNode: 6},

@@ -94,8 +94,7 @@ func determinismMatrixCases(t *testing.T) []struct {
 
 // TestShardDeterminismMatrix (named for the lane-count comparison it once
 // also ran) asserts, for every matrix configuration, bit-identical results
-// between the calendar and heap-only scheduler paths and across a repeated
-// run.
+// between the calendar and heap-only scheduler paths.
 func TestShardDeterminismMatrix(t *testing.T) {
 	for _, tc := range determinismMatrixCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,10 +115,24 @@ func TestShardDeterminismMatrix(t *testing.T) {
 				t.Errorf("heap-only scheduler diverges from the calendar\n base: %s\n got:  %s",
 					fingerprint(base), fingerprint(got))
 			}
-			if got := run(false); !reflect.DeepEqual(base, got) {
-				t.Errorf("repeated run diverges\n base: %s\n got:  %s",
-					fingerprint(base), fingerprint(got))
-			}
 		})
+	}
+}
+
+// TestShardDeterminismRepeated runs every matrix configuration twice: the
+// engine must not carry state or nondeterminism from one run into the next.
+func TestShardDeterminismRepeated(t *testing.T) {
+	for _, tc := range determinismMatrixCases(t) {
+		run := func() Result {
+			res, err := Run(tc.cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			return res
+		}
+		if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: same config, different results:\n a: %s\n b: %s",
+				tc.name, fingerprint(a), fingerprint(b))
+		}
 	}
 }
