@@ -49,7 +49,10 @@ soak:
 # SM-repaired FT(8,2) carrying a two-link fault plan — dead-link warnings
 # are expected there, errors never. MLID on FT(16,3) is the deliberate
 # negative: the LID plan overflows the 16-bit space, so ibverify must exit
-# non-zero with the addressing finding.
+# non-zero with the addressing finding; so must a lane count past the IBA's
+# 15 data VLs. ibtopo -deadlock then runs the facade's deadlock check
+# (mlid.CheckDeadlockFree, the verifier's deadlock analyzer) on FT(8,3)
+# under both schemes.
 verify-smoke:
 	$(GO) run ./cmd/ibverify -m 4 -n 4 -scheme MLID -vls 4
 	$(GO) run ./cmd/ibverify -m 4 -n 4 -scheme SLID -vls 4
@@ -61,6 +64,9 @@ verify-smoke:
 	$(GO) run ./cmd/ibverify -m 32 -n 2 -scheme SLID -vls 1
 	$(GO) run ./cmd/ibverify -m 8 -n 2 -scheme MLID -vls 2 -fault 2:2,9:3
 	! $(GO) run ./cmd/ibverify -m 16 -n 3 -scheme MLID
+	! $(GO) run ./cmd/ibverify -m 8 -n 2 -vls 16
+	$(GO) run ./cmd/ibtopo -m 8 -n 3 -scheme MLID -deadlock
+	$(GO) run ./cmd/ibtopo -m 8 -n 3 -scheme SLID -deadlock
 
 # adaptive-smoke runs the reduced path-selection family study: every
 # pluggable selector (rank, random, flowspray, adaptive, pktspray) over the

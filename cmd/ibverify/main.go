@@ -41,7 +41,7 @@ func main() {
 		m        = flag.Int("m", 8, "switch port count (power of two >= 4)")
 		n        = flag.Int("n", 2, "tree dimension")
 		scheme   = flag.String("scheme", "MLID", "routing scheme: MLID or SLID")
-		vls      = flag.Int("vls", 1, "data virtual lanes to prove deadlock freedom for")
+		vls      = flag.Int("vls", 1, "data virtual lanes to prove deadlock freedom for (1..15)")
 		jsonOut  = flag.Bool("json", false, "emit findings as JSON lines (CSV under -degraded)")
 		fault    = flag.String("fault", "", "comma-separated sw:port links to fail before verifying the SM-repaired tables")
 		selName  = flag.String("select", "", "trace the quality pass under a path-selection policy (rank, random, flowspray, adaptive, pktspray); default: the scheme's canonical choice, or rank reselection under -fault")

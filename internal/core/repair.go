@@ -75,44 +75,3 @@ func RepairSubnet(sn *ib.Subnet, faults *FaultSet) (remapped int, broken []Broke
 	}
 	return remapped, broken, nil
 }
-
-// TraceSubnet walks the subnet's programmed forwarding tables (not the
-// scheme's closed form) from src for the given DLID — the ground truth for
-// repaired or hand-modified tables. It enforces the same loop and
-// up*/down* checks as TraceLID.
-func TraceSubnet(sn *ib.Subnet, src topology.NodeID, dlid ib.LID) (Path, error) {
-	t := sn.Tree
-	p := Path{Src: src, DLID: dlid}
-	sw, inPort := t.NodeAttachment(src)
-	descending := false
-	maxHops := 2*t.N() + 1
-	for hop := 0; ; hop++ {
-		if hop > maxHops {
-			return p, fmt.Errorf("core: subnet route for DLID %d exceeds %d hops: %s", dlid, maxHops, p.Render(t))
-		}
-		phys, err := sn.OutPort(sw, dlid)
-		if err != nil {
-			return p, fmt.Errorf("core: switch %s: %w", t.SwitchLabel(sw), err)
-		}
-		out := int(phys) - 1
-		downPorts := t.DownPorts(sw)
-		if out < downPorts {
-			descending = true
-		} else if descending {
-			return p, fmt.Errorf("core: subnet route for DLID %d turns upward after descending at %s",
-				dlid, t.SwitchLabel(sw))
-		}
-		p.Hops = append(p.Hops, Hop{Switch: sw, InPort: inPort, OutPort: out})
-		ref := t.SwitchNeighbor(sw, out)
-		switch ref.Kind {
-		case topology.KindNode:
-			p.Dst = ref.Node
-			return p, nil
-		case topology.KindSwitch:
-			sw, inPort = ref.Switch, ref.Port
-		default:
-			return p, fmt.Errorf("core: subnet route for DLID %d fell off the fabric at %s port %d",
-				dlid, t.SwitchLabel(sw), out)
-		}
-	}
-}

@@ -73,6 +73,33 @@ func (p Path) Render(t *topology.Tree) string {
 // ascend-then-descend (up*/down*) discipline that keeps fat-tree routing
 // deadlock free, or terminates at a node that does not own the DLID.
 func TraceLID(t *topology.Tree, s Scheme, src topology.NodeID, dlid ib.LID) (Path, error) {
+	return trace(t, src, dlid, func(sw topology.SwitchID) (int, error) {
+		out, ok := s.OutPortAbstract(t, sw, dlid)
+		if !ok {
+			return 0, fmt.Errorf("core: switch %s has no route for DLID %d", t.SwitchLabel(sw), dlid)
+		}
+		return out, nil
+	})
+}
+
+// TraceSubnet walks the subnet's programmed forwarding tables (not the
+// scheme's closed form) from src for the given DLID — the ground truth for
+// repaired or hand-modified tables. It enforces the same loop and
+// up*/down* checks as TraceLID.
+func TraceSubnet(sn *ib.Subnet, src topology.NodeID, dlid ib.LID) (Path, error) {
+	t := sn.Tree
+	return trace(t, src, dlid, func(sw topology.SwitchID) (int, error) {
+		phys, err := sn.OutPort(sw, dlid)
+		if err != nil {
+			return 0, fmt.Errorf("core: switch %s: %w", t.SwitchLabel(sw), err)
+		}
+		return int(phys) - 1, nil
+	})
+}
+
+// trace is the hop loop of TraceLID and TraceSubnet; outPort supplies the
+// abstract out-port each switch forwards dlid through.
+func trace(t *topology.Tree, src topology.NodeID, dlid ib.LID, outPort func(topology.SwitchID) (int, error)) (Path, error) {
 	p := Path{Src: src, DLID: dlid}
 	sw, inPort := t.NodeAttachment(src)
 	descending := false
@@ -82,9 +109,9 @@ func TraceLID(t *topology.Tree, s Scheme, src topology.NodeID, dlid ib.LID) (Pat
 			return p, fmt.Errorf("core: route for DLID %d from node %d exceeds %d hops (loop?): %s",
 				dlid, src, maxHops, p.Render(t))
 		}
-		out, ok := s.OutPortAbstract(t, sw, dlid)
-		if !ok {
-			return p, fmt.Errorf("core: switch %s has no route for DLID %d", t.SwitchLabel(sw), dlid)
+		out, err := outPort(sw)
+		if err != nil {
+			return p, err
 		}
 		if out < 0 || out >= t.M() {
 			return p, fmt.Errorf("core: switch %s routed DLID %d to invalid port %d", t.SwitchLabel(sw), dlid, out)

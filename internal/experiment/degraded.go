@@ -298,7 +298,7 @@ func DegradedStudy(spec DegradedSpec) ([]DegradedRow, error) {
 				return lid, ok
 			},
 		}
-		rep, err := verify.Run(in, verify.Options{VLs: spec.DataVLs, Parallelism: campaignWorkers(tr.Switches())})
+		rep, err := verify.Run(in, verify.Options{VLs: spec.DataVLs})
 		if err != nil {
 			return row, fmt.Errorf("experiment: degraded verify %s at %s: %w", scheme.Name(), sc.label, err)
 		}

@@ -2,140 +2,120 @@ package verify
 
 import (
 	"fmt"
-	"sort"
 
 	"mlid/internal/ib"
 	"mlid/internal/topology"
 )
 
-// checkDeadlock builds the channel-dependency graph each virtual lane's
-// traffic induces — an edge from channel A to channel B whenever some route
-// can hold A while requesting B — and searches it for cycles (Dally &
-// Seitz: acyclic proves deadlock freedom under credit-based flow control).
-//
-// It generalizes core.CheckDeadlockFree in two ways the fault path needs:
-// routes through broken tables contribute the dependencies of the hops they
-// actually traverse instead of failing the whole check (a packet heading
-// into a dead link drops there instantly, holding nothing further, so the
-// dead hop forms no edge), and the cycle witness is the shortest one in the
-// graph, not the first one a DFS stumbles into.
-func (f *fabric) checkDeadlock(rep *Report, opt Options) {
-	if opt.VLOf == nil {
-		// Every lane carries every route: one graph proves all lanes.
-		f.deadlockGraph(rep, -1, opt)
-		return
+// depGraph is one lane's channel-dependency graph: an edge from channel A
+// to channel B whenever some route can hold A while requesting B. B always
+// leaves the switch A leads into, so the edge is stored at A*m + B's port.
+type depGraph struct {
+	used     []bool // channel id -> crossed by some route
+	edge     []bool // A*m + port -> A depends on the channel out of that port
+	channels int
+	deps     int
+}
+
+// lanes holds the dependency graph of every virtual lane: one shared graph
+// when every lane carries every route, else one per lane of the static
+// DLID-to-lane mapping.
+type lanes struct {
+	m      int
+	vls    int
+	vlOf   func(dlid ib.LID, vls int) int
+	graphs []depGraph
+}
+
+func (f *fabric) newLanes(opt Options) *lanes {
+	numChan := f.t.Switches() * f.m
+	g := &lanes{m: f.m, vls: opt.VLs, vlOf: opt.VLOf, graphs: make([]depGraph, 1)}
+	if opt.VLOf != nil {
+		g.graphs = make([]depGraph, opt.VLs)
 	}
-	for vl := 0; vl < opt.VLs; vl++ {
-		f.deadlockGraph(rep, vl, opt)
+	for i := range g.graphs {
+		g.graphs[i] = depGraph{used: make([]bool, numChan), edge: make([]bool, numChan*f.m)}
+	}
+	return g
+}
+
+// add records the dependencies of one walked route on its lane's graph:
+// each consecutive pair of held channels forms an edge, and a looping route
+// also requests its cycle's first channel again. A route through broken
+// tables contributes the hops it actually traverses.
+func (g *lanes) add(dlid ib.LID, w *walk) {
+	vl := 0
+	if g.vlOf != nil {
+		if vl = g.vlOf(dlid, g.vls); vl < 0 || vl >= g.vls {
+			return
+		}
+	}
+	gr := &g.graphs[vl]
+	h := w.held()
+	for i, c := range h {
+		if !gr.used[c] {
+			gr.used[c] = true
+			gr.channels++
+		}
+		if i > 0 {
+			gr.link(h[i-1], c, g.m)
+		}
+	}
+	if w.stop == stopLoop {
+		gr.link(h[len(h)-1], h[w.loopAt], g.m)
 	}
 }
 
-// deadlockGraph accumulates and checks the dependency graph of one lane
-// (vl < 0: the shared graph of all lanes).
-func (f *fabric) deadlockGraph(rep *Report, vl int, opt Options) {
-	t := f.t
-	numChan := t.Switches() * f.m
-	edges := make(map[int64]struct{})
-	used := make([]bool, numChan)
+func (gr *depGraph) link(a, b int32, m int) {
+	if e := int(a)*m + int(b)%m; !gr.edge[e] {
+		gr.edge[e] = true
+		gr.deps++
+	}
+}
 
-	for sw := 0; sw < t.Switches(); sw++ {
-		leaf := topology.SwitchID(sw)
-		if !t.IsLeaf(leaf) {
+// checkDeadlock searches each lane's channel-dependency graph for cycles
+// (Dally & Seitz: acyclic proves deadlock freedom under credit-based flow
+// control) and reports the shortest witness cycle of each cyclic lane.
+// Stats.Channels / Stats.Dependencies size the largest graph.
+func (f *fabric) checkDeadlock(rep *Report, g *lanes) {
+	for vl := range g.graphs {
+		gr := &g.graphs[vl]
+		rep.Stats.Channels = max(rep.Stats.Channels, gr.channels)
+		rep.Stats.Dependencies = max(rep.Stats.Dependencies, gr.deps)
+		cycle := shortestCycle(f.adjacency(gr))
+		if cycle == nil {
 			continue
 		}
-		for p := 0; p < t.Nodes(); p++ {
-			r := f.in.Endports[p]
-			for off := 0; off < r.Count(); off++ {
-				lid := int(r.Base) + off
-				if lid <= 0 || lid >= f.space || f.owner[lid] != int32(p) {
-					continue
-				}
-				if vl >= 0 && opt.VLOf(ib.LID(lid), opt.VLs) != vl {
-					continue
-				}
-				f.routeDeps(leaf, lid, edges, used)
+		witness := make([]string, len(cycle))
+		for i, c := range cycle {
+			witness[i] = f.chanLabel(int32(c))
+		}
+		lane := "every VL (no VL transitions)"
+		if g.vlOf != nil {
+			lane = fmt.Sprintf("VL %d", vl)
+		}
+		rep.add(f.cap, Finding{
+			Analyzer: "deadlock",
+			Severity: Error,
+			Location: witness[0],
+			Message:  fmt.Sprintf("channel-dependency cycle of %d links on %s: credit deadlock possible", len(cycle), lane),
+			Witness:  witness,
+		})
+	}
+}
+
+// adjacency turns a graph's edges into adjacency lists, ascending by
+// successor channel, so every later traversal is deterministic.
+func (f *fabric) adjacency(gr *depGraph) [][]int32 {
+	adj := make([][]int32, len(gr.used))
+	for a := range adj {
+		row := gr.edge[a*f.m : (a+1)*f.m]
+		for p, ok := range row {
+			if ok {
+				next := f.t.SwitchNeighbor(topology.SwitchID(a/f.m), a%f.m).Switch
+				adj[a] = append(adj[a], int32(int(next)*f.m+p))
 			}
 		}
-	}
-
-	channels := 0
-	for _, u := range used {
-		if u {
-			channels++
-		}
-	}
-	if channels > rep.Stats.Channels {
-		rep.Stats.Channels = channels
-	}
-	if len(edges) > rep.Stats.Dependencies {
-		rep.Stats.Dependencies = len(edges)
-	}
-
-	adj := buildAdjacency(edges, numChan)
-	cycle := shortestCycle(adj, numChan)
-	if cycle == nil {
-		return
-	}
-	witness := make([]string, len(cycle))
-	for i, c := range cycle {
-		witness[i] = f.linkLabel(topology.SwitchID(c/f.m), c%f.m)
-	}
-	lane := "every VL (no VL transitions)"
-	if vl >= 0 {
-		lane = fmt.Sprintf("VL %d", vl)
-	}
-	rep.add(f.cap, Finding{
-		Analyzer: "deadlock",
-		Severity: Error,
-		Location: witness[0],
-		Message:  fmt.Sprintf("channel-dependency cycle of %d links on %s: credit deadlock possible", len(cycle), lane),
-		Witness:  witness,
-	})
-}
-
-// routeDeps walks one route and records its channel dependencies: each
-// consecutive pair of live out-links forms an edge. The walk stops silently
-// at any defect — reachability owns the findings.
-func (f *fabric) routeDeps(leaf topology.SwitchID, lid int, edges map[int64]struct{}, used []bool) {
-	t := f.t
-	maxSwitches := 2*t.N() + 2
-	sw := leaf
-	prev := -1
-	for hops := 0; hops < maxSwitches; hops++ {
-		phys := f.in.LFTs[sw].Port(ib.LID(lid))
-		if phys == ib.PortNone || phys == 0 || int(phys) > f.m {
-			return
-		}
-		ab := int(phys) - 1
-		if f.deadAt(sw, ab) {
-			return // the packet drops at sw; the dead channel is never held
-		}
-		cur := int(sw)*f.m + ab
-		used[cur] = true
-		if prev >= 0 {
-			edges[int64(prev)<<32|int64(cur)] = struct{}{}
-		}
-		ref := t.SwitchNeighbor(sw, ab)
-		if ref.Kind != topology.KindSwitch {
-			return
-		}
-		sw = ref.Switch
-		prev = cur
-	}
-}
-
-// buildAdjacency turns the edge set into sorted adjacency lists, so every
-// later traversal is deterministic.
-func buildAdjacency(edges map[int64]struct{}, numChan int) [][]int32 {
-	keys := make([]int64, 0, len(edges))
-	for k := range edges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	adj := make([][]int32, numChan)
-	for _, k := range keys {
-		a, b := int(k>>32), int32(k&0xffffffff)
-		adj[a] = append(adj[a], b)
 	}
 	return adj
 }
@@ -144,8 +124,9 @@ func buildAdjacency(edges map[int64]struct{}, numChan int) [][]int32 {
 // acyclic). A cheap DFS 3-coloring decides existence first; only when a
 // cycle exists does the quadratic shortest-search run (per-node BFS back to
 // itself), so the healthy-fabric path stays linear.
-func shortestCycle(adj [][]int32, numChan int) []int {
-	if !hasCycle(adj, numChan) {
+func shortestCycle(adj [][]int32) []int {
+	numChan := len(adj)
+	if !hasCycle(adj) {
 		return nil
 	}
 	var best []int
@@ -209,7 +190,8 @@ func shortestCycle(adj [][]int32, numChan int) []int {
 }
 
 // hasCycle is an iterative DFS 3-coloring over the whole graph.
-func hasCycle(adj [][]int32, numChan int) bool {
+func hasCycle(adj [][]int32) bool {
+	numChan := len(adj)
 	const (
 		white = 0
 		gray  = 1

@@ -44,7 +44,7 @@ func (f *fabric) qualityMatrix(rep *Report, name string, each func(func(src, dst
 	t := f.t
 	numChan := t.Switches() * f.m
 	load := make([]float64, numChan)
-	scratch := make([]int32, 0, 2*t.N()+2)
+	var route walk
 	q := QualityReport{Matrix: name}
 	var dilSum float64
 	routed := 0
@@ -56,12 +56,14 @@ func (f *fabric) qualityMatrix(rep *Report, name string, each func(func(src, dst
 			q.Unrouted++
 			return
 		}
-		path, reached := f.tracePath(src, dst, dlid, scratch)
-		if !reached {
+		leaf, _ := t.NodeAttachment(src)
+		f.follow(&route, leaf, dlid)
+		if !route.delivered(dst) {
 			q.Unrouted++
 			return
 		}
 		routed++
+		path := route.chans
 		// The final hop is the destination's attachment link; it is loaded
 		// identically by every scheme (all of dst's demand), so the
 		// congestion metrics cover the inter-switch hops only.
@@ -103,7 +105,7 @@ func (f *fabric) qualityMatrix(rep *Report, name string, each func(func(src, dst
 		q.MeanLoad = sum / float64(usedLinks)
 	}
 	if maxAt >= 0 {
-		q.MaxLink = f.linkLabel(topology.SwitchID(maxAt/f.m), maxAt%f.m)
+		q.MaxLink = f.chanLabel(int32(maxAt))
 	}
 
 	// Root-link balance: the descending links out of root switches, dead
@@ -158,40 +160,6 @@ func (f *fabric) selectDLID(src, dst topology.NodeID) (ib.LID, bool) {
 		return f.in.Engine.DLID(f.t, src, dst), true
 	}
 	return f.in.Endports[dst].Base, true
-}
-
-// tracePath walks the tables from src's leaf toward dlid and returns the
-// out-channels crossed (reusing scratch) and whether the walk delivered to
-// dst. Any defect — dead end, dead link, loop, misdelivery — is a failed
-// trace here; reachability owns the findings.
-func (f *fabric) tracePath(src, dst topology.NodeID, dlid ib.LID, scratch []int32) ([]int32, bool) {
-	t := f.t
-	if int(dlid) <= 0 || int(dlid) >= f.space {
-		return scratch[:0], false
-	}
-	path := scratch[:0]
-	sw, _ := t.NodeAttachment(src)
-	maxSwitches := 2*t.N() + 2
-	for hops := 0; hops < maxSwitches; hops++ {
-		phys := f.in.LFTs[sw].Port(dlid)
-		if phys == ib.PortNone || phys == 0 || int(phys) > f.m {
-			return path, false
-		}
-		ab := int(phys) - 1
-		if f.deadAt(sw, ab) {
-			return path, false
-		}
-		path = append(path, int32(int(sw)*f.m+ab))
-		ref := t.SwitchNeighbor(sw, ab)
-		switch ref.Kind {
-		case topology.KindNone:
-			return path, false
-		case topology.KindNode:
-			return path, ref.Node == dst
-		}
-		sw = ref.Switch
-	}
-	return path, false
 }
 
 // minSwitches is the minimal number of switches an up*/down* path between

@@ -2,17 +2,9 @@ package verify
 
 import (
 	"fmt"
-	"sync"
 
 	"mlid/internal/ib"
 	"mlid/internal/topology"
-)
-
-// Walk outcomes, per (leaf switch, assigned LID) route.
-const (
-	walkReached  = iota // delivered to the owning node
-	walkDeadLink        // blocked by a recorded dead link (observable drop)
-	walkDefect          // error-severity defect, finding already emitted
 )
 
 // entryKey dedups per-entry findings: a broken entry at switch S for LID L
@@ -22,272 +14,94 @@ type entryKey struct {
 	lid int
 }
 
-// reachCandidate is one finding recorded during a leaf's walk, before the
-// cross-leaf dedup of the canonical merge. hasKey marks per-entry findings
-// (deduped globally); aggregate per-(leaf, node) warnings carry no key.
-type reachCandidate struct {
-	hasKey bool
-	key    entryKey
-	f      Finding
-}
-
-// reachRecorder accumulates one leaf's walk output: candidates in emission
-// order, a local first-encounter dedup (the slice of what this leaf would
-// emit if it ran first), and the routes-checked count.
-type reachRecorder struct {
-	seen   map[entryKey]bool
-	cands  []reachCandidate
-	routes int
-}
-
-// claim reports whether (sw, lid) is new to this recorder, marking it seen.
-// Callers check claim before building a finding at all — constructing the
-// message and witness strings for an entry another route already flagged is
-// the dominant cost of a walk over a heavily-degraded fabric.
-func (r *reachRecorder) claim(sw topology.SwitchID, lid int) bool {
-	k := entryKey{int32(sw), lid}
-	if r.seen[k] {
-		return false
-	}
-	r.seen[k] = true
-	return true
-}
-
-// entry records a claimed per-entry finding.
-func (r *reachRecorder) entry(sw topology.SwitchID, lid int, f Finding) {
-	k := entryKey{int32(sw), lid}
-	r.cands = append(r.cands, reachCandidate{hasKey: true, key: k, f: f})
-}
-
-// plain records an undeduped finding (the aggregate unreachability warning).
-func (r *reachRecorder) plain(f Finding) {
-	r.cands = append(r.cands, reachCandidate{f: f})
-}
-
 // checkReachability walks every (leaf switch, assigned LID) route through
 // the live tables — every packet enters the fabric at a leaf, so these walks
-// cover every forwardable (source, DLID) pair. Loops, dead ends,
-// misdeliveries and fall-offs are errors with the walked path as witness;
-// entries pointing at recorded dead links are warnings (the drop is the
-// documented fate of an unrepaireable entry); a destination whose every LID
-// is dead from some leaf gets one aggregated unreachability warning.
-//
-// Leaves are independent sources, so with par > 1 their walks run on a
-// worker pool; each leaf records into its own slot and a serial merge in
-// ascending-leaf order applies the global first-leaf-wins dedup and the
-// finding cap, so the report is byte-identical to the serial walk no matter
-// the worker count or scheduling.
-func (f *fabric) checkReachability(rep *Report, par int) {
+// cover every forwardable (source, DLID) pair — and hands each walk to the
+// lanes' dependency graphs. Loops, dead ends, misdeliveries and fall-offs
+// are errors with the walked path as witness; entries pointing at recorded
+// dead links are warnings (the drop is the documented fate of an
+// unrepaireable entry); a destination whose every LID is dead from some
+// leaf gets one aggregated unreachability warning.
+func (f *fabric) checkReachability(rep *Report, g *lanes) {
 	t := f.t
-	var leaves []topology.SwitchID
-	for sw := 0; sw < t.Switches(); sw++ {
-		if t.IsLeaf(topology.SwitchID(sw)) {
-			leaves = append(leaves, topology.SwitchID(sw))
-		}
-	}
-	if par > len(leaves) {
-		par = len(leaves)
-	}
-	if par <= 1 {
-		// Serial: one recorder shared by every leaf, so the global
-		// first-encounter dedup gates finding construction itself — a
-		// duplicate entry never builds its witness strings at all.
-		rec := &reachRecorder{seen: make(map[entryKey]bool)}
-		for _, leaf := range leaves {
-			f.walkLeaf(rec, leaf)
-		}
-		rep.Stats.RoutesChecked += rec.routes
-		for _, c := range rec.cands {
-			rep.add(f.cap, c.f)
-		}
-		return
-	}
-	recs := make([]*reachRecorder, len(leaves))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				rec := &reachRecorder{seen: make(map[entryKey]bool)}
-				f.walkLeaf(rec, leaves[i])
-				recs[i] = rec
-			}
-		}()
-	}
-	for i := range leaves {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	// Canonical merge: ascending leaves, per-leaf emission order, global
-	// first-leaf-wins dedup.
 	seen := make(map[entryKey]bool)
-	for _, rec := range recs {
-		rep.Stats.RoutesChecked += rec.routes
-		for _, c := range rec.cands {
-			if c.hasKey {
-				if seen[c.key] {
+	var w walk
+	for sw := 0; sw < t.Switches(); sw++ {
+		leaf := topology.SwitchID(sw)
+		if !t.IsLeaf(leaf) {
+			continue
+		}
+		for p := 0; p < t.Nodes(); p++ {
+			dst := topology.NodeID(p)
+			r := f.in.Endports[p]
+			reached, deadBlocked, routes := 0, 0, 0
+			for off := 0; off < r.Count(); off++ {
+				lid := int(r.Base) + off
+				if lid <= 0 || lid >= f.space || f.owner[lid] != int32(p) {
+					continue // addressing already flagged the inconsistency
+				}
+				routes++
+				f.follow(&w, leaf, ib.LID(lid))
+				g.add(ib.LID(lid), &w)
+				if w.delivered(dst) {
+					reached++
 					continue
 				}
-				seen[c.key] = true
-			}
-			rep.add(f.cap, c.f)
-		}
-	}
-}
-
-// walkLeaf walks every (node, assigned LID offset) route out of one leaf.
-func (f *fabric) walkLeaf(rec *reachRecorder, leaf topology.SwitchID) {
-	t := f.t
-	for p := 0; p < t.Nodes(); p++ {
-		r := f.in.Endports[p]
-		reached, deadBlocked, routes := 0, 0, 0
-		for off := 0; off < r.Count(); off++ {
-			lid := int(r.Base) + off
-			if lid <= 0 || lid >= f.space || f.owner[lid] != int32(p) {
-				continue // addressing already flagged the inconsistency
-			}
-			routes++
-			rec.routes++
-			switch f.walkRoute(rec, leaf, lid, int32(p)) {
-			case walkReached:
-				reached++
-			case walkDeadLink:
-				deadBlocked++
-			}
-		}
-		// Aggregate unreachability: only when every failure is
-		// fault-explained (defects already carry their own errors).
-		if routes > 0 && reached == 0 && deadBlocked == routes {
-			rec.plain(Finding{
-				Analyzer: "reachability",
-				Severity: Warning,
-				Location: t.SwitchLabel(leaf),
-				Message: fmt.Sprintf("destination %s unreachable: all %d of its LIDs hit dead links from this leaf",
-					t.NodeLabel(topology.NodeID(p)), routes),
-				Witness: nil,
-			})
-		}
-	}
-}
-
-// walkRoute follows one (leaf, LID) route hop by hop and reports its
-// outcome, recording findings for defects along the way.
-func (f *fabric) walkRoute(rec *reachRecorder, leaf topology.SwitchID, lid int, dst int32) int {
-	t := f.t
-	maxSwitches := 2*t.N() + 2 // longest legal up*/down* path, plus slack
-	var path []topology.SwitchID
-	var ports []int
-	witness := func() []string {
-		out := make([]string, len(path))
-		for i, sw := range path {
-			out[i] = f.linkLabel(sw, ports[i])
-		}
-		return out
-	}
-	sw := leaf
-	for {
-		for i, prev := range path {
-			if prev == sw {
-				cyc := make([]string, 0, len(path)-i+1)
-				for j := i; j < len(path); j++ {
-					cyc = append(cyc, f.linkLabel(path[j], ports[j]))
+				if w.stop == stopDeadLink {
+					deadBlocked++
 				}
-				if rec.claim(sw, lid) {
-					rec.entry(sw, lid, Finding{
-						Analyzer: "reachability",
-						Severity: Error,
-						Location: t.SwitchLabel(sw),
-						Message:  fmt.Sprintf("forwarding loop for DLID %d (%d switches)", lid, len(cyc)),
-						Witness:  cyc,
-					})
+				if k := (entryKey{int32(w.at), lid}); !seen[k] {
+					seen[k] = true
+					rep.add(f.cap, f.routeFinding(&w, lid, dst))
 				}
-				return walkDefect
 			}
-		}
-		if len(path) >= maxSwitches {
-			if rec.claim(sw, lid) {
-				rec.entry(sw, lid, Finding{
-					Analyzer: "reachability",
-					Severity: Error,
-					Location: t.SwitchLabel(sw),
-					Message:  fmt.Sprintf("route for DLID %d exceeds %d switches without delivery", lid, maxSwitches),
-					Witness:  witness(),
-				})
-			}
-			return walkDefect
-		}
-		phys := f.in.LFTs[sw].Port(ib.LID(lid))
-		if phys == ib.PortNone {
-			if rec.claim(sw, lid) {
-				rec.entry(sw, lid, Finding{
-					Analyzer: "reachability",
-					Severity: Error,
-					Location: t.SwitchLabel(sw),
-					Message:  fmt.Sprintf("dead end: no forwarding entry for assigned DLID %d", lid),
-					Witness:  witness(),
-				})
-			}
-			return walkDefect
-		}
-		if phys == 0 || int(phys) > f.m {
-			if rec.claim(sw, lid) {
-				rec.entry(sw, lid, Finding{
-					Analyzer: "reachability",
-					Severity: Error,
-					Location: t.SwitchLabel(sw),
-					Message:  fmt.Sprintf("DLID %d routed to invalid physical port %d", lid, phys),
-					Witness:  witness(),
-				})
-			}
-			return walkDefect
-		}
-		ab := int(phys) - 1
-		path = append(path, sw)
-		ports = append(ports, ab)
-		if f.deadAt(sw, ab) {
-			if rec.claim(sw, lid) {
-				rec.entry(sw, lid, Finding{
+			rep.Stats.RoutesChecked += routes
+			// Aggregate unreachability: only when every failure is
+			// fault-explained (defects already carry their own errors).
+			if routes > 0 && reached == 0 && deadBlocked == routes {
+				rep.add(f.cap, Finding{
 					Analyzer: "reachability",
 					Severity: Warning,
-					Location: f.linkLabel(sw, ab),
-					Message:  fmt.Sprintf("entry for DLID %d points at a down link (packets drop here)", lid),
-					Witness:  witness(),
+					Location: t.SwitchLabel(leaf),
+					Message: fmt.Sprintf("destination %s unreachable: all %d of its LIDs hit dead links from this leaf",
+						t.NodeLabel(dst), routes),
+					Witness: nil,
 				})
 			}
-			return walkDeadLink
 		}
-		ref := t.SwitchNeighbor(sw, ab)
-		switch ref.Kind {
-		case topology.KindNone:
-			if rec.claim(sw, lid) {
-				rec.entry(sw, lid, Finding{
-					Analyzer: "reachability",
-					Severity: Error,
-					Location: f.linkLabel(sw, ab),
-					Message:  fmt.Sprintf("route for DLID %d falls off the fabric (unwired port)", lid),
-					Witness:  witness(),
-				})
-			}
-			return walkDefect
-		case topology.KindNode:
-			if int32(ref.Node) != dst {
-				if rec.claim(sw, lid) {
-					rec.entry(sw, lid, Finding{
-						Analyzer: "reachability",
-						Severity: Error,
-						Location: f.linkLabel(sw, ab),
-						Message: fmt.Sprintf("misdelivery: DLID %d owned by %s delivered to %s",
-							lid, t.NodeLabel(topology.NodeID(dst)), t.NodeLabel(ref.Node)),
-						Witness: witness(),
-					})
-				}
-				return walkDefect
-			}
-			return walkReached
-		}
-		sw = ref.Switch
 	}
+}
+
+// routeFinding explains why the walk of lid's route did not reach its owner
+// dst, with the walked channels (or, for a loop, the cycle) as witness.
+func (f *fabric) routeFinding(w *walk, lid int, dst topology.NodeID) Finding {
+	t := f.t
+	sev, loc, path := Error, t.SwitchLabel(w.at), w.chans
+	var msg string
+	switch w.stop {
+	case stopLoop:
+		path = w.chans[w.loopAt:]
+		msg = fmt.Sprintf("forwarding loop for DLID %d (%d switches)", lid, len(path))
+	case stopTooLong:
+		msg = fmt.Sprintf("route for DLID %d exceeds %d switches without delivery", lid, f.maxSwitches)
+	case stopNoEntry:
+		msg = fmt.Sprintf("dead end: no forwarding entry for assigned DLID %d", lid)
+	case stopBadPort:
+		msg = fmt.Sprintf("DLID %d routed to invalid physical port %d", lid, w.phys)
+	case stopDeadLink:
+		sev, loc = Warning, f.chanLabel(path[len(path)-1])
+		msg = fmt.Sprintf("entry for DLID %d points at a down link (packets drop here)", lid)
+	case stopUnwired:
+		loc = f.chanLabel(path[len(path)-1])
+		msg = fmt.Sprintf("route for DLID %d falls off the fabric (unwired port)", lid)
+	case stopDelivered:
+		loc = f.chanLabel(path[len(path)-1])
+		msg = fmt.Sprintf("misdelivery: DLID %d owned by %s delivered to %s",
+			lid, t.NodeLabel(dst), t.NodeLabel(w.node))
+	}
+	witness := make([]string, len(path))
+	for i, c := range path {
+		witness[i] = f.chanLabel(c)
+	}
+	return Finding{Analyzer: "reachability", Severity: sev, Location: loc, Message: msg, Witness: witness}
 }

@@ -6,16 +6,20 @@
 // evenly across root links — without simulating a single packet.
 //
 // Four analyzer families emit typed findings (severity, fabric location,
-// witness path) through a shared reporter:
+// witness path) through a shared reporter. The route-level ones read one
+// walker: a single hop loop follows each (leaf switch, DLID) route through
+// the live tables, and reachability, deadlock and quality all take their
+// facts from its walks.
 //
 //   - reachability: walks every (leaf switch, assigned LID) route through
 //     the live tables; flags forwarding loops (with the cycle as witness),
 //     dead-end entries, entries pointing at down links, misdeliveries, and
 //     destinations left unreachable.
 //   - deadlock: builds the per-virtual-lane channel-dependency graph from
-//     the same walks — generalizing core.CheckDeadlockFree to arbitrary
-//     fault-repaired tables, which may legally contain broken entries —
-//     and reports the shortest witness cycle if one exists.
+//     the same walks — over any table set, including fault-repaired tables
+//     that may legally contain broken entries — and reports the shortest
+//     witness cycle if one exists. It is the package's only deadlock
+//     checker; mlid.CheckDeadlockFree wraps it.
 //   - addressing: LID-space exhaustion (MLID on FT(16,3) needs 65,537
 //     LIDs, one past the 16-bit space), LMC-block overlap, duplicate and
 //     orphaned LID assignments.
@@ -75,10 +79,13 @@ func FromSubnet(sn *ib.Subnet) Input {
 	return Input{Tree: sn.Tree, Endports: sn.Endports, LFTs: sn.LFTs, Engine: sn.Engine}
 }
 
+// maxVLs is the most data virtual lanes the IBA allows.
+const maxVLs = 15
+
 // Options tunes a Run.
 type Options struct {
-	// VLs is the data virtual-lane count to prove deadlock freedom for;
-	// zero means 1.
+	// VLs is the data virtual-lane count to prove deadlock freedom for,
+	// 0..15; zero means 1.
 	VLs int
 	// VLOf, when non-nil, is the static DLID-to-lane mapping (the VLByDLID
 	// policy); nil means every lane carries every route, so one lane's
@@ -93,12 +100,6 @@ type Options struct {
 	// MaxFindings caps findings per analyzer (excess is counted in
 	// Stats.Suppressed); zero means 64.
 	MaxFindings int
-	// Parallelism bounds the worker count of the reachability walk, whose
-	// per-leaf sources are independent (findings merge in canonical order,
-	// so the report is byte-identical at any setting). <= 1 runs serial —
-	// the right call inside the simulator's per-epoch hook, whose runs
-	// already fill the cores from the campaign pools.
-	Parallelism int
 }
 
 // fabric is the resolved view of an Input the analyzers share.
@@ -110,6 +111,9 @@ type fabric struct {
 	owner []int32 // LID -> owning node, or -1
 	dead  []bool  // global port id (sw*m+port) -> endpoint of a dead link
 	cap   int     // per-analyzer finding cap
+	// maxSwitches bounds a walk: the longest legal up*/down* path, plus
+	// slack.
+	maxSwitches int
 }
 
 // Run executes every analyzer over the input and returns the combined
@@ -131,14 +135,17 @@ func Run(in Input, opt Options) (*Report, error) {
 			return nil, fmt.Errorf("verify: switch %d has no forwarding table", s)
 		}
 	}
-	if opt.VLs <= 0 {
+	if opt.VLs < 0 || opt.VLs > maxVLs {
+		return nil, fmt.Errorf("verify: Options.VLs %d outside 0..%d (IBA allows up to %d data VLs; 0 means 1)", opt.VLs, maxVLs, maxVLs)
+	}
+	if opt.VLs == 0 {
 		opt.VLs = 1
 	}
 	if opt.MaxFindings == 0 {
 		opt.MaxFindings = 64
 	}
 
-	f := &fabric{in: in, t: t, m: t.M(), cap: opt.MaxFindings}
+	f := &fabric{in: in, t: t, m: t.M(), cap: opt.MaxFindings, maxSwitches: 2*t.N() + 2}
 	f.space = 0
 	for _, lft := range in.LFTs {
 		if lft.Size() > f.space {
@@ -160,8 +167,9 @@ func Run(in Input, opt Options) (*Report, error) {
 	rep := &Report{}
 	rep.Stats.VLs = opt.VLs
 	f.checkAddressing(rep)
-	f.checkReachability(rep, opt.Parallelism)
-	f.checkDeadlock(rep, opt)
+	g := f.newLanes(opt)
+	f.checkReachability(rep, g)
+	f.checkDeadlock(rep, g)
 	if !opt.SkipQuality {
 		f.checkQuality(rep, opt)
 	}
@@ -173,7 +181,8 @@ func (f *fabric) deadAt(sw topology.SwitchID, port int) bool {
 	return f.dead[int(sw)*f.m+port]
 }
 
-// linkLabel names a directed link by its transmitting switch endpoint.
-func (f *fabric) linkLabel(sw topology.SwitchID, port int) string {
-	return fmt.Sprintf("%s:%d", f.t.SwitchLabel(sw), port)
+// chanLabel names a directed link by its transmitting switch endpoint,
+// given its channel id sw*m + abstract port.
+func (f *fabric) chanLabel(c int32) string {
+	return fmt.Sprintf("%s:%d", f.t.SwitchLabel(topology.SwitchID(int(c)/f.m)), int(c)%f.m)
 }

@@ -99,38 +99,78 @@ func TestVerifyDeterministic(t *testing.T) {
 	}
 }
 
-// TestForwardingLoopFinding corrupts a spine entry to bounce a DLID between
-// a leaf and a root and expects a loop finding with the cycle as witness.
-func TestForwardingLoopFinding(t *testing.T) {
+// TestRunRejectsOutOfRangeVLs: a lane count outside 0..15 is unusable input
+// (the IBA allows up to 15 data VLs), not a clean proof for a million lanes
+// or a silent fall back to one.
+func TestRunRejectsOutOfRangeVLs(t *testing.T) {
 	sn := configured(t, 4, 2, core.NewMLID())
-	tr := sn.Tree
-	// dst on a different leaf than node 0's.
-	leaf0, _ := tr.NodeAttachment(0)
-	dst := topology.NodeID(tr.Nodes() - 1)
-	leafD, _ := tr.NodeAttachment(dst)
-	lid := sn.Endports[dst].Base
-	var root topology.SwitchID
-	for sw := 0; sw < tr.Switches(); sw++ {
-		if tr.IsRoot(topology.SwitchID(sw)) {
-			root = topology.SwitchID(sw)
-			break
+	for _, vls := range []int{1000000, 16, -3} {
+		if rep, err := verify.Run(verify.FromSubnet(sn), verify.Options{VLs: vls, SkipQuality: true}); err == nil {
+			t.Fatalf("VLs %d accepted: %+v", vls, rep.Stats)
 		}
 	}
-	// leaf0 -> root -> leaf0 -> ... : a two-switch forwarding loop.
-	mustSet(t, sn.LFTs[leaf0], lid, portTo(tr, leaf0, root))
-	mustSet(t, sn.LFTs[root], lid, portTo(tr, root, leaf0))
-	_ = leafD
+	for _, vls := range []int{0, 15} {
+		if _, err := verify.Run(verify.FromSubnet(sn), verify.Options{VLs: vls, SkipQuality: true}); err != nil {
+			t.Fatalf("VLs %d rejected: %v", vls, err)
+		}
+	}
+}
 
-	rep, err := verify.Run(verify.FromSubnet(sn), verify.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, ok := findingWith(rep, "reachability", "forwarding loop")
-	if !ok {
-		t.Fatalf("no forwarding-loop finding in %+v", rep.Findings)
-	}
-	if f.Severity != verify.Error || len(f.Witness) < 2 {
-		t.Fatalf("loop finding not an error with cycle witness: %+v", f)
+// TestForwardingLoopFinding corrupts a spine entry to bounce a DLID between
+// a leaf and a root and expects the full report: a loop error with the
+// cycle as witness for every switch at which walks enter the loop, and the
+// 2-link channel-dependency cycle the looping route closes. Through the
+// first root every leaf's walk enters the loop; through the second only
+// leaf0's does, so there the cycle exists only because a looping route
+// also holds its cycle's first channel again.
+func TestForwardingLoopFinding(t *testing.T) {
+	for _, c := range []struct {
+		root, loops, deps int
+	}{
+		{0, 2, 41},
+		{1, 1, 42},
+	} {
+		sn := configured(t, 4, 2, core.NewMLID())
+		tr := sn.Tree
+		// dst on a different leaf than node 0's.
+		leaf0, _ := tr.NodeAttachment(0)
+		dst := topology.NodeID(tr.Nodes() - 1)
+		lid := sn.Endports[dst].Base
+		var roots []topology.SwitchID
+		for sw := 0; sw < tr.Switches(); sw++ {
+			if tr.IsRoot(topology.SwitchID(sw)) {
+				roots = append(roots, topology.SwitchID(sw))
+			}
+		}
+		root := roots[c.root]
+		// leaf0 -> root -> leaf0 -> ... : a two-switch forwarding loop.
+		mustSet(t, sn.LFTs[leaf0], lid, portTo(tr, leaf0, root))
+		mustSet(t, sn.LFTs[root], lid, portTo(tr, root, leaf0))
+
+		rep, err := verify.Run(verify.FromSubnet(sn), verify.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loops := 0
+		for _, f := range rep.Findings {
+			if f.Analyzer != "reachability" || f.Severity != verify.Error {
+				continue
+			}
+			if !strings.Contains(f.Message, "forwarding loop") || len(f.Witness) != 2 {
+				t.Fatalf("root %d: want loop errors with the 2-switch cycle as witness, got %+v", c.root, f)
+			}
+			loops++
+		}
+		if loops != c.loops {
+			t.Fatalf("root %d: %d forwarding-loop errors, want %d: %+v", c.root, loops, c.loops, rep.Findings)
+		}
+		d, ok := findingWith(rep, "deadlock", "channel-dependency cycle of 2 links")
+		if !ok || d.Severity != verify.Error || len(d.Witness) != 2 {
+			t.Fatalf("root %d: no 2-link deadlock cycle from the loop: %+v", c.root, rep.Findings)
+		}
+		if rep.Stats.Dependencies != c.deps {
+			t.Fatalf("root %d: Dependencies = %d, want %d", c.root, rep.Stats.Dependencies, c.deps)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mlid"
+	"mlid/internal/topology"
 )
 
 // TestQuickstartFlow exercises the documented end-to-end usage of the public
@@ -102,5 +103,74 @@ func TestFacadeEvalHarness(t *testing.T) {
 func TestFacadeReceptionConstants(t *testing.T) {
 	if mlid.ReceptionIdeal == mlid.ReceptionLink {
 		t.Error("reception constants collide")
+	}
+}
+
+// TestCheckDeadlockFreePins pins the facade's channel-dependency counts on
+// healthy fabrics under both schemes (the counts ibtopo -deadlock prints)
+// and requires a cycle on tables rewired against up*/down*.
+func TestCheckDeadlockFreePins(t *testing.T) {
+	for _, c := range []struct {
+		m, n           int
+		scheme         mlid.Scheme
+		channels, deps int
+	}{
+		{4, 1, mlid.MLID(), 4, 0},
+		{4, 1, mlid.SLID(), 4, 0},
+		{4, 2, mlid.MLID(), 24, 40},
+		{4, 2, mlid.SLID(), 24, 32},
+		{8, 3, mlid.MLID(), 640, 2816},
+		{8, 3, mlid.SLID(), 640, 2048},
+	} {
+		tree, _ := mlid.NewTree(c.m, c.n)
+		sn, err := mlid.Configure(tree, c.scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := mlid.CheckDeadlockFree(sn)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tree, c.scheme.Name(), err)
+		}
+		if !rep.Free() || rep.Channels != c.channels || rep.Dependencies != c.deps {
+			t.Fatalf("%s %s: %+v, want free with %d channels, %d dependencies",
+				tree, c.scheme.Name(), rep, c.channels, c.deps)
+		}
+	}
+
+	// Cyclic tables on SLID FT(4,2): node 0's LID (1) climbs from leaf A
+	// to root r0, descends to leaf B, climbs again through r1 and reaches
+	// A; the last node's LID takes the mirror kink through leaf A. Every
+	// route still delivers, but the kinks close a channel-dependency cycle.
+	tree, _ := mlid.NewTree(4, 2)
+	sn, err := mlid.Configure(tree, mlid.SLID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafA, _ := tree.NodeAttachment(0)
+	leafB, _ := tree.NodeAttachment(mlid.NodeID(tree.Nodes() - 1))
+	roots := tree.SwitchesWithPrefix(nil, 0)
+	r0, r1 := roots[0], roots[1]
+	set := func(from, to mlid.SwitchID, lid mlid.LID) {
+		for k := 0; k < tree.M(); k++ {
+			if ref := tree.SwitchNeighbor(from, k); ref.Kind == topology.KindSwitch && ref.Switch == to {
+				if err := sn.LFTs[from].Set(lid, uint8(k+1)); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+		}
+		t.Fatalf("no link %d->%d", from, to)
+	}
+	lidB := mlid.LID(tree.Nodes())
+	set(r0, leafB, 1)
+	set(leafB, r1, 1)
+	set(r1, leafA, lidB)
+	set(leafA, r0, lidB)
+	rep, err := mlid.CheckDeadlockFree(sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Free() || len(rep.Cycle) < 3 {
+		t.Fatalf("cyclic tables: %+v, want a dependency cycle", rep)
 	}
 }
