@@ -98,11 +98,13 @@ BENCH_TIME ?= 1x
 BENCH_COUNT ?= 1
 
 # bench regenerates the figure-level benchmarks with allocation counts, plus
-# the control-plane repair benchmarks (incremental repair and SM recovery).
+# the control-plane benchmarks: incremental repair, SM recovery, subnet
+# bring-up and static verification.
+BENCH_PATTERN = 'BenchmarkFig|BenchmarkRepairIncremental|BenchmarkSMRecovery|BenchmarkSubnetConfigure|BenchmarkVerifyRun'
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkFig|BenchmarkRepairIncremental|BenchmarkSMRecovery' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) .
+	$(GO) test -run xxx -bench $(BENCH_PATTERN) -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) .
 
-# bench-json runs the figure benchmarks and records ns/op and allocs/op as
+# bench-json runs the same benchmarks and records ns/op and allocs/op as
 # committed JSON (BENCH_$(BENCH_PR).json), so perf gates diff against a file
 # instead of a number in a commit message. The JSON also records GOMAXPROCS
 # per entry, so files are comparable across machines. The
@@ -110,7 +112,7 @@ bench:
 # committed.
 BENCH_PR ?= 10
 bench-json:
-	$(GO) test -run xxx -bench 'BenchmarkFig|BenchmarkRepairIncremental|BenchmarkSMRecovery' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) . | tee bench.out
+	$(GO) test -run xxx -bench $(BENCH_PATTERN) -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) . | tee bench.out
 	$(GO) run ./cmd/benchjson < bench.out > BENCH_$(BENCH_PR).json
 	@rm -f bench.out
 	@echo wrote BENCH_$(BENCH_PR).json

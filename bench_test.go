@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"mlid"
+	"mlid/internal/verify"
 )
 
 // benchFigure runs a reduced version of one evaluation figure.
@@ -84,10 +85,15 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
+// controlNetwork is the control-plane benchmark fabric: FT(8,4), whose MLID
+// plan fills 32,769 LIDs on 448 switches.
+var controlNetwork = mlid.EvalNetwork{M: 8, N: 4}
+
 // BenchmarkSubnetConfigure measures the subnet manager bring-up (discovery,
-// LID assignment, forwarding-table computation) per scheme and network.
+// LID assignment, forwarding-table computation) per scheme and network: the
+// paper's networks plus the control-plane fabric.
 func BenchmarkSubnetConfigure(b *testing.B) {
-	for _, nw := range mlid.EvalNetworks() {
+	for _, nw := range append(mlid.EvalNetworks(), controlNetwork) {
 		tree, err := mlid.NewTree(nw.M, nw.N)
 		if err != nil {
 			b.Fatal(err)
@@ -101,6 +107,39 @@ func BenchmarkSubnetConfigure(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkVerifyRun measures static verification of a configured fabric
+// with ibverify's default options (one VL, quality included): FT(8,4) MLID
+// and FT(16,3) SLID, the two fabrics of the control-plane benchmark.
+func BenchmarkVerifyRun(b *testing.B) {
+	for _, c := range []struct {
+		nw     mlid.EvalNetwork
+		scheme mlid.Scheme
+	}{
+		{controlNetwork, mlid.MLID()},
+		{mlid.EvalNetwork{M: 16, N: 3}, mlid.SLID()},
+	} {
+		tree, err := mlid.NewTree(c.nw.M, c.nw.N)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sn, err := mlid.Configure(tree, c.scheme)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%s/%s", c.nw, c.scheme.Name()), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rep, err := verify.Run(verify.FromSubnet(sn), verify.Options{VLs: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !rep.Clean() {
+					b.Fatalf("%d errors on a healthy fabric", rep.Errors())
+				}
+			}
+		})
 	}
 }
 

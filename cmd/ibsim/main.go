@@ -128,7 +128,10 @@ func main() {
 		tree, s.Name(), pat.Name(), sel.Name(), *vls, *pktSize)
 	fmt.Printf("offered load:      %.4f bytes/ns/node\n", res.OfferedLoad)
 	fmt.Printf("accepted traffic:  %.4f bytes/ns/node", res.Accepted)
-	if res.Saturated {
+	switch {
+	case res.GeneratedWindow == 0:
+		fmt.Printf("  (no packets generated in window)")
+	case res.Saturated:
 		fmt.Printf("  (saturated)")
 	}
 	fmt.Println()

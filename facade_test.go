@@ -199,3 +199,19 @@ func TestFacadeOptimizePaths(t *testing.T) {
 		t.Fatalf("batch over plan: %v %+v", err, res)
 	}
 }
+
+// TestFacadeFailLinkBadSwitch: naming a switch the tree does not have is no
+// reason to panic; the fault set records the named endpoint and no peer.
+func TestFacadeFailLinkBadSwitch(t *testing.T) {
+	tree, err := mlid.NewTree(8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sw := range []mlid.SwitchID{9999, -1, mlid.SwitchID(tree.Switches())} {
+		fs := mlid.NewFaultSet()
+		fs.FailLink(tree, sw, 0)
+		if fs.Len() != 1 {
+			t.Fatalf("FailLink(%d, 0) registered %d endpoints, want 1", sw, fs.Len())
+		}
+	}
+}

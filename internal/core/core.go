@@ -111,43 +111,16 @@ func (s MLID) Decompose(t *topology.Tree, lid ib.LID) (dst topology.NodeID, path
 // (Equations (1) and (2) of the paper), returning the abstract output port.
 func (s MLID) OutPortAbstract(t *topology.Tree, sw topology.SwitchID, lid ib.LID) (int, bool) {
 	dst, j, err := s.Decompose(t, lid)
-	if err != nil || !t.ValidNode(dst) {
+	if err != nil || !t.ValidNode(dst) || !t.ValidSwitch(sw) {
 		return 0, false
 	}
-	level := t.SwitchLevel(sw)
-	if down, ok := downPort(t, sw, level, dst); ok {
+	if down, ok := t.DownPortTo(sw, dst); ok {
 		return down, true // Equation (1): k = p_l
 	}
-	// Equation (2): ascend toward the LCA selected by digit l-1 of j.
-	div := int64(1)
-	for i := 0; i < t.N()-1-level; i++ {
-		div *= int64(t.H())
-	}
-	return t.H() + int(j/div%int64(t.H())), true
-}
-
-// downPort evaluates Case 1: if dst lies in the switch's downward subtree,
-// it returns the abstract down port p_level.
-func downPort(t *topology.Tree, sw topology.SwitchID, level int, dst topology.NodeID) (int, bool) {
-	if t.N() == 1 {
-		return int(dst), true // single-switch fabric: every node is downward
-	}
-	// Stack buffer: downPort runs once per (switch, LID) pair during table
-	// assignment, and a heap slice per call dominated the Configure profile.
-	var buf [16]int
-	d := buf[:]
-	if n := t.N() - 1; n <= len(buf) {
-		d = buf[:n]
-	} else {
-		d = make([]int, n)
-	}
-	t.SwitchDigitsInto(sw, d)
-	for i := 0; i < level; i++ {
-		if d[i] != t.NodeDigit(dst, i) {
-			return 0, false
-		}
-	}
-	return t.NodeDigit(dst, level), true
+	// Equation (2): ascend toward the LCA selected by digit l-1 of j, the
+	// base-(m/2) digit of weight (m/2)^(n-1-l): a log2(m/2)-bit field.
+	shift := uint((t.N() - 1 - t.SwitchLevel(sw)) * log2(t.H()))
+	return t.H() + int(j>>shift)&(t.H()-1), true
 }
 
 // SLID is the paper's baseline: one LID per endport.
@@ -188,17 +161,16 @@ func (s SLID) DLID(t *topology.Tree, _, dst topology.NodeID) ib.LID {
 
 // OutPortAbstract implements Scheme.
 func (s SLID) OutPortAbstract(t *topology.Tree, sw topology.SwitchID, lid ib.LID) (int, bool) {
-	if lid == 0 || int(lid) >= s.LIDSpace(t) {
+	if lid == 0 || int(lid) >= s.LIDSpace(t) || !t.ValidSwitch(sw) {
 		return 0, false
 	}
 	dst := topology.NodeID(int64(lid) - 1)
-	level := t.SwitchLevel(sw)
-	if down, ok := downPort(t, sw, level, dst); ok {
+	if down, ok := t.DownPortTo(sw, dst); ok {
 		return down, true
 	}
 	// Ascend by the destination's digit at this level: destinations spread
 	// evenly over the (m/2) parents, but the choice is source-independent.
-	return t.H() + t.NodeDigit(dst, level)%t.H(), true
+	return t.H() + t.NodeDigit(dst, t.SwitchLevel(sw))%t.H(), true
 }
 
 // ByName returns the scheme with the given (case-sensitive) name.

@@ -384,7 +384,8 @@ type Result struct {
 	// EndTime is the simulated timestamp the run stopped at.
 	EndTime Time
 	// Saturated reports whether accepted traffic fell more than 2% below
-	// offered traffic, i.e. the operating point is past the knee.
+	// offered traffic, i.e. the operating point is past the knee. It is
+	// false when the window generated no packets (GeneratedWindow == 0).
 	Saturated bool
 
 	// Fault-injection outcomes; all zero unless Config.FaultPlan ran.

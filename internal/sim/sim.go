@@ -361,7 +361,8 @@ func (s *Sim) buildResult(horizon Time, events int64) Result {
 		res.InFlightAtEnd -= ib.unreachableDegraded
 	}
 	res.Accepted = float64(s.deliveredBytesWindow) / float64(cfg.MeasureNs) / float64(s.tree.Nodes())
-	res.Saturated = res.Accepted < 0.98*cfg.OfferedLoad
+	// A window that generated nothing has no operating point to judge.
+	res.Saturated = s.generatedWindow > 0 && res.Accepted < 0.98*cfg.OfferedLoad
 	var sum float64
 	var links int
 	for sw := 0; sw < s.tree.Switches(); sw++ {

@@ -238,6 +238,29 @@ func TestSaturationCapsAccepted(t *testing.T) {
 	}
 }
 
+// TestIdleWindowNotSaturated: a load so low that the measurement window
+// generates no packet accepts nothing, but that is no saturation.
+func TestIdleWindowNotSaturated(t *testing.T) {
+	sn := mustSubnet(t, 4, 2, core.NewMLID())
+	res, err := Run(Config{
+		Subnet:      sn,
+		Pattern:     traffic.Uniform{Nodes: sn.Tree.Nodes()},
+		OfferedLoad: 1e-12,
+		WarmupNs:    10_000,
+		MeasureNs:   100_000,
+		Seed:        13,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GeneratedWindow != 0 {
+		t.Fatalf("load 1e-12 generated %d packets in the window", res.GeneratedWindow)
+	}
+	if res.Saturated {
+		t.Errorf("idle window reported as saturated: %+v", res)
+	}
+}
+
 // TestHotspotMLIDBeatsSLID is the paper's headline result as an integration
 // test: under 50%-centric traffic at high load, MLID accepts strictly more
 // traffic than SLID with the same single VL.

@@ -35,7 +35,7 @@ func (t *Tree) FamilyStats() FamilyStats {
 		Links:           t.Links(),
 		Levels:          t.n,
 		Bisection:       t.BisectionLinks(),
-		MaxDistPaths:    t.hPow[t.n-1],
+		MaxDistPaths:    t.hPow(t.n - 1),
 		SwitchesPerNode: float64(t.switches) / float64(t.nodes),
 		PortsPerNode:    float64(t.switches*t.m) / float64(t.nodes),
 	}

@@ -44,7 +44,7 @@ func (t *Tree) SwitchesWithPrefix(prefix []int, level int) []SwitchID {
 	if free < 0 {
 		free = 0
 	}
-	count := int(t.pow(t.h, free))
+	count := int(t.hPow(free))
 	out := make([]SwitchID, 0, count)
 	d := make([]int, t.n-1)
 	copy(d, prefix)
@@ -74,14 +74,6 @@ func (t *Tree) SwitchesWithPrefix(prefix []int, level int) []SwitchID {
 	return out
 }
 
-func (t *Tree) pow(base, exp int) int64 {
-	v := int64(1)
-	for i := 0; i < exp; i++ {
-		v *= int64(base)
-	}
-	return v
-}
-
 // GCPGSize returns the number of processing nodes in a greatest-common-prefix
 // group gcpg(x, alpha) (Definition 3): 2*(m/2)^n for alpha == 0 and
 // (m/2)^(n-alpha) otherwise.
@@ -89,7 +81,7 @@ func (t *Tree) GCPGSize(alpha int) int {
 	if alpha == 0 {
 		return t.nodes
 	}
-	return int(t.hPow[t.n-alpha])
+	return int(t.hPow(t.n - alpha))
 }
 
 // GCPG enumerates the members of gcpg(prefix, len(prefix)) in rank order.
@@ -141,13 +133,17 @@ func (t *Tree) GCPG(prefix []int) ([]NodeID, error) {
 //
 //	rank = sum_{i >= alpha} p_i * (m/2)^(n-1-i)
 //
-// Rank(id, 0) equals the node's PID, which equals the NodeID itself.
+// Rank(id, 0) equals the node's PID, which equals the NodeID itself. For
+// alpha >= 1 every digit from alpha on lies in [0, m/2), so the rank is the
+// low logH*(n-alpha) bits of the NodeID.
 func (t *Tree) Rank(id NodeID, alpha int) int64 {
-	var r int64
-	for i := alpha; i < t.n; i++ {
-		r += int64(t.NodeDigit(id, i)) * t.nodeWeight[i]
+	switch {
+	case alpha <= 0:
+		return int64(id)
+	case alpha >= t.n:
+		return 0
 	}
-	return r
+	return int64(id) & (t.hPow(t.n-alpha) - 1)
 }
 
 // PID returns the processing-node identifier of the node: its rank in
@@ -162,5 +158,5 @@ func (t *Tree) PathCount(a, b NodeID) int64 {
 	if alpha >= t.n {
 		return 0
 	}
-	return t.hPow[t.n-1-alpha]
+	return t.hPow(t.n - 1 - alpha)
 }

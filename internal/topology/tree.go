@@ -88,28 +88,33 @@ func (p PortRef) String() string {
 }
 
 // Tree is an immutable description of an FT(m, n) fat-tree.
+//
+// Labels are decoded with shifts and masks, never divisions: h = m/2 is a
+// power of two, 2^logH, so every label digit but the top one is a logH-bit
+// field of the dense index. Node digit i sits at bit logH*(n-1-i) of the
+// NodeID; switch digit i sits at bit logH*(n-2-i) of the switch's in-level
+// index. The top digit (i == 0) ranges over [0, m) = [0, 2h), one bit wider
+// than the others, and is read unmasked as everything above its offset.
 type Tree struct {
-	m int // switch arity (ports per switch); power of two, >= 4
-	n int // tree "dimension"; height is n+1
-	h int // m/2: down-degree of non-root switches
+	m    int  // switch arity (ports per switch); power of two, >= 4
+	n    int  // tree "dimension"; height is n+1
+	h    int  // m/2: down-degree of non-root switches
+	logH uint // log2(h): the width of every label digit below the top one
 
-	logH int // log2(h)
-
-	nodes        int     // 2*h^n
-	switches     int     // (2n-1)*h^(n-1)
-	perLevel     int     // h^(n-1): switches in level 0
-	perMidLevel  int     // 2*h^(n-1): switches in each level >= 1
-	hPow         []int64 // hPow[i] = h^i, i in [0, n]
-	nodeWeight   []int64 // nodeWeight[i] = h^(n-1-i): PID weight of digit i
-	switchWeight []int64 // switchWeight[i] = h^(n-2-i): label weight of digit i (n >= 2)
+	nodes       int  // 2*h^n
+	switches    int  // (2n-1)*h^(n-1)
+	perLevel    int  // h^(n-1): switches in level 0
+	perMidLevel int  // 2*h^(n-1): switches in each level >= 1
+	levelShift  uint // log2(perMidLevel): the in-level index width at levels >= 1
 }
 
 // New constructs the FT(m, n) fat-tree description.
 //
 // m must be a power of two with m >= 4 (the paper requires a power of two so
-// that the LMC addressing of the MLID scheme partitions the LID space), and
-// n must be >= 1. FT(m, 1) degenerates to a single m-port crossbar switch
-// connecting m nodes.
+// that the LMC addressing of the MLID scheme partitions the LID space, and
+// the label arithmetic decodes digits as bit fields), and n must be >= 1.
+// FT(m, 1) degenerates to a single m-port crossbar switch connecting m
+// nodes.
 func New(m, n int) (*Tree, error) {
 	if m < 4 || m&(m-1) != 0 {
 		return nil, fmt.Errorf("topology: m must be a power of two >= 4, got %d", m)
@@ -118,32 +123,22 @@ func New(m, n int) (*Tree, error) {
 		return nil, fmt.Errorf("topology: n must be >= 1, got %d", n)
 	}
 	h := m / 2
+	logH := uint(bits.Len(uint(h)) - 1)
 	// Guard against overflow of the dense ID spaces.
-	if float64(n)*float64(bits.Len(uint(h))-1) > 28 {
+	if uint(n)*logH > 28 {
 		return nil, fmt.Errorf("topology: FT(%d,%d) is too large (more than 2^29 nodes)", m, n)
 	}
-	t := &Tree{m: m, n: n, h: h, logH: bits.Len(uint(h)) - 1}
-	t.hPow = make([]int64, n+1)
-	t.hPow[0] = 1
-	for i := 1; i <= n; i++ {
-		t.hPow[i] = t.hPow[i-1] * int64(h)
-	}
-	t.perLevel = int(t.hPow[n-1])
+	t := &Tree{m: m, n: n, h: h, logH: logH}
+	t.perLevel = int(t.hPow(n - 1))
 	t.perMidLevel = 2 * t.perLevel
-	t.nodes = 2 * int(t.hPow[n])
+	t.levelShift = 1 + uint(n-1)*logH
+	t.nodes = 2 * int(t.hPow(n))
 	t.switches = (2*n - 1) * t.perLevel
-	t.nodeWeight = make([]int64, n)
-	for i := 0; i < n; i++ {
-		t.nodeWeight[i] = t.hPow[n-1-i]
-	}
-	if n >= 2 {
-		t.switchWeight = make([]int64, n-1)
-		for i := 0; i < n-1; i++ {
-			t.switchWeight[i] = t.hPow[n-2-i]
-		}
-	}
 	return t, nil
 }
+
+// hPow returns h^i.
+func (t *Tree) hPow(i int) int64 { return 1 << (uint(i) * t.logH) }
 
 // MustNew is New, panicking on invalid parameters. It is intended for tests
 // and examples with constant arguments.
@@ -207,24 +202,19 @@ func (t *Tree) ValidSwitch(id SwitchID) bool { return id >= 0 && int(id) < t.swi
 // PID, i.e. the mixed-radix value of the digits with weights (m/2)^(n-1-i).
 func (t *Tree) NodeDigits(id NodeID) []int {
 	d := make([]int, t.n)
-	t.nodeDigitsInto(id, d)
-	return d
-}
-
-func (t *Tree) nodeDigitsInto(id NodeID, d []int) {
-	v := int64(id)
-	for i := 0; i < t.n; i++ {
-		d[i] = int(v / t.nodeWeight[i])
-		v %= t.nodeWeight[i]
+	for i := range d {
+		d[i] = t.NodeDigit(id, i)
 	}
+	return d
 }
 
 // NodeDigit returns digit i of the node label without allocating.
 func (t *Tree) NodeDigit(id NodeID, i int) int {
+	v := int(id) >> (uint(t.n-1-i) * t.logH)
 	if i == 0 {
-		return int(int64(id) / t.nodeWeight[0])
+		return v
 	}
-	return int(int64(id) / t.nodeWeight[i] % int64(t.h))
+	return v & (t.h - 1)
 }
 
 // NodeFromDigits returns the NodeID with the given label digits.
@@ -236,13 +226,12 @@ func (t *Tree) NodeFromDigits(d []int) (NodeID, error) {
 	if d[0] < 0 || d[0] >= t.m {
 		return 0, fmt.Errorf("topology: node digit 0 out of range [0,%d): %d", t.m, d[0])
 	}
-	var v int64
-	v = int64(d[0]) * t.nodeWeight[0]
+	v := d[0]
 	for i := 1; i < t.n; i++ {
 		if d[i] < 0 || d[i] >= t.h {
 			return 0, fmt.Errorf("topology: node digit %d out of range [0,%d): %d", i, t.h, d[i])
 		}
-		v += int64(d[i]) * t.nodeWeight[i]
+		v = v<<t.logH | d[i]
 	}
 	return NodeID(v), nil
 }
@@ -253,45 +242,51 @@ func (t *Tree) NodeLabel(id NodeID) string {
 	return "P(" + digitString(t.NodeDigits(id)) + ")"
 }
 
+// levelIndex splits a valid switch ID into its level and in-level index,
+// the label digits w0..w[n-2] read as one mixed-radix number.
+func (t *Tree) levelIndex(id SwitchID) (level, idx int) {
+	v := int(id)
+	if v < t.perLevel {
+		return 0, v
+	}
+	v -= t.perLevel
+	return 1 + v>>t.levelShift, v & (t.perMidLevel - 1)
+}
+
+// switchAt is levelIndex's inverse.
+func (t *Tree) switchAt(level, idx int) SwitchID {
+	if level == 0 {
+		return SwitchID(idx)
+	}
+	return SwitchID(t.perLevel + (level-1)<<t.levelShift + idx)
+}
+
+// switchShift returns the bit offset of switch digit i in an in-level index.
+func (t *Tree) switchShift(i int) uint { return uint(t.n-2-i) * t.logH }
+
 // SwitchLevel returns the level of the switch, in [0, n).
 func (t *Tree) SwitchLevel(id SwitchID) int {
-	if int(id) < t.perLevel {
-		return 0
-	}
-	return 1 + (int(id)-t.perLevel)/t.perMidLevel
+	level, _ := t.levelIndex(id)
+	return level
 }
 
 // SwitchDigits returns the label digits w0..w[n-2] and the level of a switch.
 // For n == 1 the digit slice is empty.
 func (t *Tree) SwitchDigits(id SwitchID) (digits []int, level int) {
 	digits = make([]int, t.n-1)
-	level = t.switchDigitsInto(id, digits)
+	level = t.SwitchDigitsInto(id, digits)
 	return digits, level
 }
 
 // SwitchDigitsInto decodes the label digits into d, which must have length
-// n-1, and returns the level. It is the allocation-free form of SwitchDigits
-// for callers on hot paths (routing-table compilation walks every
-// (switch, LID) pair).
+// n-1, and returns the level. It is the allocation-free form of SwitchDigits.
 func (t *Tree) SwitchDigitsInto(id SwitchID, d []int) (level int) {
-	return t.switchDigitsInto(id, d)
-}
-
-func (t *Tree) switchDigitsInto(id SwitchID, d []int) (level int) {
-	idx := int64(id)
-	if idx < int64(t.perLevel) {
-		level = 0
-	} else {
-		idx -= int64(t.perLevel)
-		level = 1 + int(idx/int64(t.perMidLevel))
-		idx %= int64(t.perMidLevel)
-	}
-	// Digit 0 has weight h^(n-2) and range [0, m) at levels >= 1, [0, h) at
-	// level 0; the remaining digits have range [0, h). Both cases decode with
-	// the same mixed-radix division.
-	for i := 0; i < t.n-1; i++ {
-		d[i] = int(idx / t.switchWeight[i])
-		idx %= t.switchWeight[i]
+	level, idx := t.levelIndex(id)
+	for i := range d[:t.n-1] {
+		d[i] = idx >> t.switchShift(i)
+		if i > 0 {
+			d[i] &= t.h - 1
+		}
 	}
 	return level
 }
@@ -308,7 +303,7 @@ func (t *Tree) SwitchFromDigits(d []int, level int) (SwitchID, error) {
 	if level >= 1 {
 		limit0 = t.m
 	}
-	var idx int64
+	idx := 0
 	for i := 0; i < t.n-1; i++ {
 		limit := t.h
 		if i == 0 {
@@ -317,12 +312,9 @@ func (t *Tree) SwitchFromDigits(d []int, level int) (SwitchID, error) {
 		if d[i] < 0 || d[i] >= limit {
 			return 0, fmt.Errorf("topology: switch digit %d out of range [0,%d): %d", i, limit, d[i])
 		}
-		idx += int64(d[i]) * t.switchWeight[i]
+		idx = idx<<t.logH | d[i]
 	}
-	if level == 0 {
-		return SwitchID(idx), nil
-	}
-	return SwitchID(int64(t.perLevel) + int64(level-1)*int64(t.perMidLevel) + idx), nil
+	return t.switchAt(level, idx), nil
 }
 
 // SwitchLabel renders the switch label as the paper writes it, e.g. "SW<10,1>".
@@ -369,20 +361,37 @@ func (t *Tree) DownPorts(id SwitchID) int {
 // NodeAttachment returns the leaf switch and abstract port to which the node
 // attaches: SW<p0..p[n-2], n-1> port p[n-1].
 func (t *Tree) NodeAttachment(id NodeID) (SwitchID, int) {
-	// The leaf-switch label digits are the first n-1 node digits, and the
-	// port is the final node digit. Because NodeID is a mixed-radix value
-	// whose lowest weight is 1, the port is id mod h... except for n == 1,
-	// where the single digit p0 in [0, m) is the port on the sole switch.
 	if t.n == 1 {
+		// The single digit p0 in [0, m) is the port on the sole switch.
 		return 0, int(id)
 	}
 	// The final node digit is the attachment port, and the leading n-1 node
-	// digits are exactly the leaf-switch label (both are mixed-radix values
-	// over the same digit ranges), so the label offset is id / h.
-	port := int(int64(id) % int64(t.h))
-	prefix := int64(id) / int64(t.h)
-	sw := SwitchID(int64(t.perLevel) + int64(t.n-2)*int64(t.perMidLevel) + prefix)
-	return sw, port
+	// digits are exactly the leaf switch's in-level index.
+	return t.switchAt(t.n-1, int(id)>>t.logH), int(id) & (t.h - 1)
+}
+
+// DownPortTo evaluates Case 1 of the paper's forwarding rule: node dst lies
+// below switch SW<w, l> when w0..w[l-1] equal dst's digits p0..p[l-1], and
+// then the abstract down port toward it is p_l. Both prefixes are shifted
+// indices, so the test is one comparison. Every node lies below a root. It
+// reports false for an invalid switch or node.
+func (t *Tree) DownPortTo(sw SwitchID, dst NodeID) (port int, ok bool) {
+	if !t.ValidSwitch(sw) || !t.ValidNode(dst) {
+		return 0, false
+	}
+	if t.n == 1 {
+		return int(dst), true // single-switch fabric: every node is downward
+	}
+	level, idx := t.levelIndex(sw)
+	// s is the offset of node digit l, and of the end of switch digit l-1.
+	s := uint(t.n-1-level) * t.logH
+	if level == 0 {
+		return int(dst) >> s, true
+	}
+	if idx>>s != int(dst)>>(s+t.logH) {
+		return 0, false
+	}
+	return int(dst) >> s & (t.h - 1), true
 }
 
 // SwitchNeighbor returns the entity wired to the given abstract port of the
@@ -393,56 +402,41 @@ func (t *Tree) NodeAttachment(id NodeID) (SwitchID, int) {
 //   - root switches (level 0, n >= 2): ports 0..m-1 go down to level 1;
 //   - other switches: ports 0..h-1 go down to level+1, ports h..m-1 go up to
 //     level-1.
+//
+// It returns PortRef{Kind: KindNone} for an invalid switch or port.
 func (t *Tree) SwitchNeighbor(id SwitchID, port int) PortRef {
-	if port < 0 || port >= t.m {
+	if !t.ValidSwitch(id) || port < 0 || port >= t.m {
 		return PortRef{Kind: KindNone}
 	}
-	var d [32]int
-	digits := d[:t.n-1]
-	level := t.switchDigitsInto(id, digits)
-
 	if t.n == 1 {
 		// Single switch; every port holds a node whose PID is the port.
 		return PortRef{Kind: KindNode, Node: NodeID(port), Port: 0}
 	}
+	level, idx := t.levelIndex(id)
+	if level > 0 && port >= t.h {
+		// Upward: port h..m-1 selects the parent's digit at position
+		// level-1; our old digit there is the parent's down port.
+		idx, old := t.swapDigit(idx, level-1, port-t.h)
+		return PortRef{Kind: KindSwitch, Switch: t.switchAt(level-1, idx), Port: old}
+	}
+	if level == t.n-1 {
+		// Leaf: port k attaches node P(w0..w[n-2] k).
+		return PortRef{Kind: KindNode, Node: NodeID(idx<<t.logH | port), Port: 0}
+	}
+	// Downward: the child at level+1 agrees on all digits except position
+	// `level`, where its digit equals this port; the child's up-port is our
+	// digit at position `level` plus h.
+	idx, old := t.swapDigit(idx, level, port)
+	return PortRef{Kind: KindSwitch, Switch: t.switchAt(level+1, idx), Port: old + t.h}
+}
 
-	down := t.h
-	if level == 0 {
-		down = t.m
+// swapDigit replaces switch digit i of an in-level index with v and returns
+// the new index and the old digit. The top digit's field is one bit wider,
+// matching its range [0, m).
+func (t *Tree) swapDigit(idx, i, v int) (int, int) {
+	s, mask := t.switchShift(i), t.h-1
+	if i == 0 {
+		mask = t.m - 1
 	}
-	if port < down {
-		// Downward.
-		if level == t.n-1 {
-			// Leaf: port k attaches node P(w0..w[n-2] k).
-			pid := int64(0)
-			pid = 0
-			for i := 0; i < t.n-1; i++ {
-				pid += int64(digits[i]) * t.nodeWeight[i]
-			}
-			pid += int64(port)
-			return PortRef{Kind: KindNode, Node: NodeID(pid), Port: 0}
-		}
-		// Child at level+1 agrees on all digits except position `level`,
-		// where the child's digit equals this port; the child's up-port is
-		// our digit at position `level` plus h.
-		childDigits := digits
-		old := childDigits[level]
-		childDigits[level] = port
-		child, err := t.SwitchFromDigits(childDigits, level+1)
-		childDigits[level] = old
-		if err != nil {
-			return PortRef{Kind: KindNone}
-		}
-		return PortRef{Kind: KindSwitch, Switch: child, Port: old + t.h}
-	}
-	// Upward: port h..m-1 selects the parent's digit at position level-1.
-	parentDigits := digits
-	old := parentDigits[level-1]
-	parentDigits[level-1] = port - t.h
-	parent, err := t.SwitchFromDigits(parentDigits, level-1)
-	parentDigits[level-1] = old
-	if err != nil {
-		return PortRef{Kind: KindNone}
-	}
-	return PortRef{Kind: KindSwitch, Switch: parent, Port: old}
+	return idx&^(mask<<s) | v<<s, idx >> s & mask
 }

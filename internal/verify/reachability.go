@@ -14,6 +14,28 @@ type entryKey struct {
 	lid int
 }
 
+// leafReach is one source leaf's share of the reachability sweep.
+type leafReach struct {
+	// reached and deadBlocked count the current destination's LIDs that
+	// this leaf delivers, and those that die at a dead link.
+	reached, deadBlocked int
+	// found holds the leaf's findings in (destination, LID) order, at most
+	// a cap's worth: any later one could only be suppressed, and counts in
+	// suppressed instead.
+	found      []Finding
+	suppressed int
+}
+
+// room reports whether the leaf may store one more finding under the
+// per-analyzer cap, counting the finding as suppressed when it may not.
+func (l *leafReach) room(capacity int) bool {
+	if capacity > 0 && len(l.found) >= capacity {
+		l.suppressed++
+		return false
+	}
+	return true
+}
+
 // checkReachability walks every (leaf switch, assigned LID) route through
 // the live tables — every packet enters the fabric at a leaf, so these walks
 // cover every forwardable (source, DLID) pair — and hands each walk to the
@@ -22,53 +44,77 @@ type entryKey struct {
 // dead links are warnings (the drop is the documented fate of an
 // unrepaireable entry); a destination whose every LID is dead from some
 // leaf gets one aggregated unreachability warning.
+//
+// The sweep runs destination by destination, LID by LID, and walks each
+// LID from every leaf in turn, so one LID's column of table entries stays
+// in cache across all the leaves. Findings are reported in (leaf,
+// destination, LID) order all the same: each leaf collects its own, in
+// (destination, LID) order with the aggregate warning after the
+// destination's LIDs, and the leaves' lists are concatenated before the
+// per-analyzer cap applies. A broken entry found from several leaves keeps
+// the lowest leaf's walk as witness, since each LID's leaves are walked in
+// ascending order.
 func (f *fabric) checkReachability(rep *Report, g *lanes) {
 	t := f.t
+	// Leaves are the last level, the highest switch IDs.
+	firstLeaf := t.Switches() - t.SwitchesInLevel(t.N()-1)
+	leaves := make([]leafReach, t.Switches()-firstLeaf)
 	seen := make(map[entryKey]bool)
 	var w walk
-	for sw := 0; sw < t.Switches(); sw++ {
-		leaf := topology.SwitchID(sw)
-		if !t.IsLeaf(leaf) {
-			continue
+	for p := 0; p < t.Nodes(); p++ {
+		dst := topology.NodeID(p)
+		r := f.in.Endports[p]
+		for i := range leaves {
+			leaves[i].reached, leaves[i].deadBlocked = 0, 0
 		}
-		for p := 0; p < t.Nodes(); p++ {
-			dst := topology.NodeID(p)
-			r := f.in.Endports[p]
-			reached, deadBlocked, routes := 0, 0, 0
-			for off := 0; off < r.Count(); off++ {
-				lid := int(r.Base) + off
-				if lid <= 0 || lid >= f.space || f.owner[lid] != int32(p) {
-					continue // addressing already flagged the inconsistency
-				}
-				routes++
-				f.follow(&w, leaf, ib.LID(lid))
+		routes := 0
+		for off := 0; off < r.Count(); off++ {
+			lid := int(r.Base) + off
+			if lid <= 0 || lid >= f.space || f.owner[lid] != int32(p) {
+				continue // addressing already flagged the inconsistency
+			}
+			routes++
+			for i := range leaves {
+				l := &leaves[i]
+				f.follow(&w, topology.SwitchID(firstLeaf+i), ib.LID(lid))
 				g.add(ib.LID(lid), &w)
 				if w.delivered(dst) {
-					reached++
+					l.reached++
 					continue
 				}
 				if w.stop == stopDeadLink {
-					deadBlocked++
+					l.deadBlocked++
 				}
 				if k := (entryKey{int32(w.at), lid}); !seen[k] {
 					seen[k] = true
-					rep.add(f.cap, f.routeFinding(&w, lid, dst))
+					if l.room(f.cap) {
+						l.found = append(l.found, f.routeFinding(&w, lid, dst))
+					}
 				}
 			}
-			rep.Stats.RoutesChecked += routes
-			// Aggregate unreachability: only when every failure is
-			// fault-explained (defects already carry their own errors).
-			if routes > 0 && reached == 0 && deadBlocked == routes {
-				rep.add(f.cap, Finding{
+		}
+		rep.Stats.RoutesChecked += routes * len(leaves)
+		// Aggregate unreachability: only when every failure is
+		// fault-explained (defects already carry their own errors).
+		for i := range leaves {
+			l := &leaves[i]
+			if routes > 0 && l.reached == 0 && l.deadBlocked == routes && l.room(f.cap) {
+				l.found = append(l.found, Finding{
 					Analyzer: "reachability",
 					Severity: Warning,
-					Location: t.SwitchLabel(leaf),
+					Location: t.SwitchLabel(topology.SwitchID(firstLeaf + i)),
 					Message: fmt.Sprintf("destination %s unreachable: all %d of its LIDs hit dead links from this leaf",
 						t.NodeLabel(dst), routes),
 					Witness: nil,
 				})
 			}
 		}
+	}
+	for i := range leaves {
+		for _, fd := range leaves[i].found {
+			rep.add(f.cap, fd)
+		}
+		rep.Stats.Suppressed += leaves[i].suppressed
 	}
 }
 

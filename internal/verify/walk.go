@@ -37,8 +37,10 @@ func (f *fabric) follow(w *walk, sw topology.SwitchID, dlid ib.LID) {
 	w.chans = w.chans[:0]
 	for {
 		w.at = sw
+		// sw's out-channels are [sw*m, sw*m+m): a crossed one closes a loop.
+		lo := int32(int(sw) * f.m)
 		for i, c := range w.chans {
-			if int(c)/f.m == int(sw) {
+			if c >= lo && c < lo+int32(f.m) {
 				w.stop, w.loopAt = stopLoop, i
 				return
 			}
