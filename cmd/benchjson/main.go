@@ -17,6 +17,10 @@
 // carries the parallelism that produced it: gomaxprocs is decoded from the
 // benchmark name's standard "-N" suffix (absent means 1), and the host's
 // "cpu:" header line is preserved verbatim.
+//
+// A stream may cover several packages (`go test -bench . ./a ./b`); each
+// record names the package of the "pkg:" line that precedes it. The
+// document-level package is set only when every record shares one.
 package main
 
 import (
@@ -29,9 +33,11 @@ import (
 )
 
 // result is one parsed benchmark line. GOMAXPROCS is the procs count go test
-// encodes as the name's trailing "-N" (1 when absent).
+// encodes as the name's trailing "-N" (1 when absent); Package comes from the
+// stream's most recent "pkg:" header.
 type result struct {
 	Name        string             `json:"name"`
+	Package     string             `json:"package,omitempty"`
 	Iterations  int64              `json:"iterations"`
 	GOMAXPROCS  int                `json:"gomaxprocs"`
 	NsPerOp     float64            `json:"ns_per_op"`
@@ -70,6 +76,7 @@ func main() {
 
 func parse(sc *bufio.Scanner) (document, error) {
 	var doc document
+	var pkg string
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -83,7 +90,7 @@ func parse(sc *bufio.Scanner) (document, error) {
 			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 			continue
 		case strings.HasPrefix(line, "pkg:"):
-			doc.Package = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 			continue
 		case !strings.HasPrefix(line, "Benchmark"):
 			continue
@@ -92,9 +99,25 @@ func parse(sc *bufio.Scanner) (document, error) {
 		if err != nil {
 			return document{}, err
 		}
+		r.Package = pkg
 		doc.Results = append(doc.Results, r)
 	}
+	doc.Package = commonPackage(doc.Results)
 	return doc, sc.Err()
+}
+
+// commonPackage returns the package every result shares, or "" when they
+// span several (or there are none).
+func commonPackage(rs []result) string {
+	if len(rs) == 0 {
+		return ""
+	}
+	for _, r := range rs[1:] {
+		if r.Package != rs[0].Package {
+			return ""
+		}
+	}
+	return rs[0].Package
 }
 
 // parseResult decodes one result line: a name, an iteration count, then

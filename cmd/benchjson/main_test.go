@@ -47,6 +47,48 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// twoPackages is a `go test -bench` stream over two packages: go test prints
+// one header block per package.
+const twoPackages = `goos: linux
+goarch: amd64
+pkg: mlid
+cpu: shared
+BenchmarkSubnetConfigure/8-port_4-tree/MLID 	       1	   5000000 ns/op
+PASS
+ok  	mlid	1.0s
+goos: linux
+goarch: amd64
+pkg: mlid/internal/sim
+cpu: shared
+BenchmarkEngineSchedule/generation 	10000000	        33.0 ns/op	        33.0 ns/event
+BenchmarkRunSmall 	     100	  10562880 ns/op
+PASS
+ok  	mlid/internal/sim	2.0s
+`
+
+func TestParseTwoPackages(t *testing.T) {
+	doc, err := parse(bufio.NewScanner(strings.NewReader(twoPackages)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct{ name, pkg string }{
+		{"BenchmarkSubnetConfigure/8-port_4-tree/MLID", "mlid"},
+		{"BenchmarkEngineSchedule/generation", "mlid/internal/sim"},
+		{"BenchmarkRunSmall", "mlid/internal/sim"},
+	}
+	if len(doc.Results) != len(want) {
+		t.Fatalf("%d results, want %d", len(doc.Results), len(want))
+	}
+	for i, w := range want {
+		if r := doc.Results[i]; r.Name != w.name || r.Package != w.pkg {
+			t.Errorf("result %d: %s in %q, want %s in %q", i, r.Name, r.Package, w.name, w.pkg)
+		}
+	}
+	if doc.Package != "" {
+		t.Errorf("document package %q for a two-package stream, want none", doc.Package)
+	}
+}
+
 func TestParseRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
 		"BenchmarkX 1 ns/op",      // odd pair

@@ -45,7 +45,7 @@ var Analyzer = &analysis.Analyzer{
 // them (build, compileLFT, smTrap, Run) are deliberately absent.
 var hotFuncs = map[string]bool{
 	// engine (engine.go)
-	"schedule": true, "pop": true, "push": true,
+	"schedule": true, "pop": true, "push": true, "calPush": true, "advance": true,
 	// event loop and packet pool (sim.go)
 	"runUntil": true, "dispatch": true,
 	"newPkt": true, "freePkt": true, "pktAt": true,

@@ -53,7 +53,11 @@ type BatchResult struct {
 }
 
 // RunBatch executes a closed workload and returns its makespan.
-func RunBatch(bc BatchConfig) (BatchResult, error) {
+func RunBatch(bc BatchConfig) (BatchResult, error) { return runBatch(bc, false) }
+
+// runBatch is RunBatch with the engine's heap-only mode selectable, so the
+// determinism suite can run a batch on both scheduler paths.
+func runBatch(bc BatchConfig, heapOnly bool) (BatchResult, error) {
 	if bc.Subnet == nil {
 		return BatchResult{}, fmt.Errorf("sim: BatchConfig.Subnet is required")
 	}
@@ -82,6 +86,7 @@ func RunBatch(bc BatchConfig) (BatchResult, error) {
 		MeasureNs:   bc.DeadlineNs,
 		Seed:        bc.Seed,
 	}
+	cfg.HeapOnlyScheduler = heapOnly
 	cfg = cfg.withDefaults()
 	// Batch runs measure everything from time zero.
 	cfg.WarmupNs = 0

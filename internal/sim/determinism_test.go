@@ -99,7 +99,7 @@ func TestGoldenDeterminism(t *testing.T) {
 
 // TestRunDeterminism requires a config to produce an identical Result
 // field-by-field when run twice, on both scheduler paths: the default
-// calendar+heap engine and the heap-only fallback (calendar disabled).
+// calendar window and the heap-only 1 ns window (Config.HeapOnlyScheduler).
 func TestRunDeterminism(t *testing.T) {
 	sn := mustSubnet(t, 8, 2, core.NewMLID())
 	cfg := Config{
@@ -110,18 +110,20 @@ func TestRunDeterminism(t *testing.T) {
 		TracePackets: 4, SeriesIntervalNs: 10_000,
 		CollectPortStats: true, Seed: 5,
 	}
-	run := func() Result {
-		res, err := Run(cfg)
+	run := func(heapOnly bool) Result {
+		c := cfg
+		c.HeapOnlyScheduler = heapOnly
+		res, err := Run(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b := run(), run()
+	a, b := run(false), run(false)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same config, different results:\n a: %+v\n b: %+v", a, b)
 	}
-	heapOnly := withHeapOnlyEngine(t, run)
+	heapOnly := run(true)
 	if !reflect.DeepEqual(a, heapOnly) {
 		t.Errorf("calendar and heap-only scheduler paths disagree:\n cal:  %s\n heap: %s",
 			fingerprint(a), fingerprint(heapOnly))
@@ -137,18 +139,18 @@ func TestBatchDeterminism(t *testing.T) {
 		DataVLs:  2,
 		Seed:     9,
 	}
-	run := func() BatchResult {
-		res, err := RunBatch(bc)
+	run := func(heapOnly bool) BatchResult {
+		res, err := runBatch(bc, heapOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b := run(), run()
+	a, b := run(false), run(false)
 	if a != b {
 		t.Errorf("same batch config, different results:\n a: %+v\n b: %+v", a, b)
 	}
-	heapOnly := withHeapOnlyEngine(t, run)
+	heapOnly := run(true)
 	if a != heapOnly {
 		t.Errorf("calendar and heap-only scheduler paths disagree:\n cal:  %+v\n heap: %+v", a, heapOnly)
 	}

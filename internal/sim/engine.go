@@ -19,12 +19,13 @@
 // Simulated time is integer nanoseconds. Runs are deterministic for a given
 // configuration and seed.
 //
-// The scheduling core is allocation-free on the hot path: events are small
-// typed records (no closures), queued in a calendar queue of 1 ns buckets for
-// the short-horizon deadlines that dominate a run (link fly times, crossbar
-// routing, per-byte transmit completions), with a monomorphic slice-backed
-// min-heap as the fallback for far-future deadlines. See DESIGN.md, "Event
-// engine internals".
+// The scheduling core is allocation-free on the hot path: events are 16-byte
+// typed records (no closures), queued in a calendar of 1024 one-ns buckets
+// that covers every deadline the model produces within about a microsecond
+// of now (link fly times, crossbar routing, per-byte transmit completions,
+// open-loop interarrivals down to load 0.25). Later deadlines wait in a
+// (t, seq) min-heap and migrate into the calendar as now advances, so pop
+// reads one structure. See DESIGN.md, "Event engine internals".
 package sim
 
 import "math/bits"
@@ -99,40 +100,52 @@ const (
 // and pointer-free — no closure, no interface, no *pkt — makes scheduling
 // allocation-free, spares every queue store its write barrier, and leaves the
 // calendar slab and heap backing arrays invisible to the garbage collector.
+//
+// The record carries no time and no sequence number, so it packs into 16
+// bytes: in the calendar a bucket's tick is its events' time and a bucket's
+// FIFO position is their scheduling order. Only far events need both, and
+// farEvent adds them.
 type event struct {
-	t    Time
-	seq  uint64
 	pi   int32
 	a    int32
 	b    int32
 	kind evKind
 }
 
-// less orders events by (t, seq); seq makes scheduling order a deterministic
-// tiebreak, exactly as the original container/heap engine did.
-func (ev event) less(o event) bool {
-	if ev.t != o.t {
-		return ev.t < o.t
+// farEvent is an event scheduled beyond the calendar window, waiting in the
+// far heap until now advances close enough for it to migrate into its bucket.
+type farEvent struct {
+	t   Time
+	seq uint64
+	ev  event
+}
+
+// less orders far events by (t, seq); seq makes scheduling order a
+// deterministic tiebreak.
+func (f farEvent) less(o farEvent) bool {
+	if f.t != o.t {
+		return f.t < o.t
 	}
-	return ev.seq < o.seq
+	return f.seq < o.seq
 }
 
 // Calendar geometry: 1 ns ticks, 2^calBits buckets. The window covers every
 // deadline the default model's per-hop machinery produces (fly 10 ns, route
-// 100 ns, 256 B serialization); far-future deadlines — open-loop
-// interarrivals at low load, retransmit timers, jumbo packet serializations —
-// fall through to the heap. The window is sized so the whole calendar (bucket
-// headers plus the event slab) stays cache-resident: which structure holds an
-// event never affects pop order, which is the global (t, seq) minimum.
+// 100 ns, 256 B serialization) and the open-loop interarrival of 256-byte
+// packets down to load 0.25 (1024 ns); retransmit timers, SM timers, jumbo
+// packet serializations and lower loads go to the far heap. The whole
+// calendar (occupancy bitmap, bucket headers and the 256 KB event slab)
+// stays cache-resident.
 const (
-	calBits = 9
+	calBits = 10
 	calSize = 1 << calBits
 	calMask = calSize - 1
 	// calSlabCap is the initial per-bucket capacity, carved from one shared
-	// slab when the calendar materializes. Growing 4096 buckets individually
-	// from nil dominated the scheduler's allocation profile; a bucket deeper
-	// than the slab cap reallocates off-slab once and keeps the larger
-	// backing array for the rest of the run.
+	// slab of calSize*calSlabCap records (256 KB) when the engine is set up.
+	// Growing every bucket individually from nil dominated the scheduler's
+	// allocation profile; a bucket deeper than the slab cap reallocates
+	// off-slab once and keeps the larger backing array for the rest of the
+	// run.
 	calSlabCap = 16
 )
 
@@ -143,32 +156,51 @@ type calBucket struct {
 	head int
 }
 
-// engineHeapOnly, when set before build, routes every event through the
-// far-heap fallback. It exists so tests can prove the calendar and heap
-// scheduler paths produce identical results.
-var engineHeapOnly bool
-
-// engine drives the event loop: a hybrid calendar queue (events within
-// calSize ns of now) plus a min-heap (everything later). Because each bucket
-// holds exactly one timestamp and seq grows monotonically, append order is
-// seq order and buckets need no sorting; cross-structure ties resolve by
-// comparing (t, seq) of the two heads.
+// engine drives the event loop: a calendar of per-tick FIFO buckets holding
+// every event before horizon = now + win, plus a (t, seq) min-heap holding
+// every later one. Invariant: no far event is earlier than horizon, so a
+// non-empty calendar always holds the global minimum and pop reads nothing
+// else. When pop advances now, it first migrates every far event the window
+// now covers into its bucket, in heap order, before anything dispatches.
+// That keeps each bucket in scheduling (seq) order without storing seq: a far
+// event for tick T was scheduled while T was beyond the window, and every
+// direct schedule for T happens after T entered it — after the migration —
+// so it appends behind the migrated ones.
 type engine struct {
 	now Time
-	seq uint64
-	// heapOnly disables the calendar fast path (test hook: the determinism
-	// suite proves both scheduler paths agree).
-	heapOnly bool
+	// horizon is now + win: schedule sends an event for t < horizon straight
+	// into its bucket and a later one to far.
+	horizon Time
+	// win is the window width in ns: calSize, or 1 in heap-only mode, where
+	// every future event takes the far heap and migrates in when due.
+	win Time
+	// seq numbers far events; the calendar needs no sequence numbers.
+	seq      uint64
 	calCount int
 	// scanFrom caches the bucket scan cursor: no calendar event exists in
 	// [now, scanFrom).
 	scanFrom Time
 	// occ is a bitmap over the calendar's buckets — bit b set iff bucket b
 	// holds a pending event — so finding the next non-empty bucket is a word
-	// scan of one cache line instead of probing bucket headers tick by tick.
+	// scan of two cache lines instead of probing bucket headers tick by tick.
 	occ     [calSize / 64]uint64
 	buckets []calBucket
 	far     eventHeap
+}
+
+// setup prepares an empty engine at time 0 and carves the calendar buckets
+// from one slab. heapOnly narrows the window to 1 ns (Config.HeapOnlyScheduler).
+func (e *engine) setup(heapOnly bool) {
+	*e = engine{win: calSize}
+	if heapOnly {
+		e.win = 1
+	}
+	e.horizon = e.win
+	e.buckets = make([]calBucket, calSize)
+	slab := make([]event, calSize*calSlabCap)
+	for i := range e.buckets {
+		e.buckets[i].evs = slab[i*calSlabCap : i*calSlabCap : (i+1)*calSlabCap]
+	}
 }
 
 // schedule enqueues ev at time t (clamped to >= now).
@@ -176,87 +208,83 @@ func (e *engine) schedule(t Time, ev event) {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq++
-	ev.t = t
-	ev.seq = e.seq
-	if !e.heapOnly && t-e.now < calSize {
-		if e.buckets == nil {
-			e.buckets = make([]calBucket, calSize)
-			slab := make([]event, calSize*calSlabCap)
-			for i := range e.buckets {
-				e.buckets[i].evs = slab[i*calSlabCap : i*calSlabCap : (i+1)*calSlabCap]
-			}
-		}
-		bi := int(t & calMask)
-		b := &e.buckets[bi]
-		b.evs = append(b.evs, ev)
-		e.occ[bi>>6] |= 1 << uint(bi&63)
-		e.calCount++
-		if t < e.scanFrom {
-			e.scanFrom = t
-		}
+	if t < e.horizon {
+		e.calPush(t, ev)
 		return
 	}
-	e.far.push(ev)
+	e.seq++
+	e.far.push(farEvent{t: t, seq: e.seq, ev: ev})
+}
+
+// calPush appends ev to the bucket of tick t, which must lie in
+// [now, horizon).
+func (e *engine) calPush(t Time, ev event) {
+	bi := int(t & calMask)
+	b := &e.buckets[bi]
+	b.evs = append(b.evs, ev)
+	e.occ[bi>>6] |= 1 << uint(bi&63)
+	e.calCount++
+	if t < e.scanFrom {
+		e.scanFrom = t
+	}
 }
 
 // pop removes and returns the earliest pending event, or ok=false when the
 // queue is empty or the earliest event is later than end (it stays queued).
 func (e *engine) pop(end Time) (event, bool) {
-	var calT Time
-	haveCal := e.calCount > 0
-	if haveCal {
-		// Find the earliest non-empty bucket. All calendar events sit in
-		// [now, now+calSize) and each tick owns one bucket, so the nearest
-		// set occupancy bit (in circular order from the cursor) is the
-		// calendar minimum.
-		t := e.scanFrom
-		if t < e.now {
-			t = e.now
-		}
-		sb := int(t & calMask)
-		w := sb >> 6
-		found := e.occ[w] &^ (1<<uint(sb&63) - 1)
-		for found == 0 {
-			w = (w + 1) % (calSize / 64)
-			found = e.occ[w]
-		}
-		bi := w<<6 + bits.TrailingZeros64(found)
-		t += Time((bi - sb) & calMask)
-		e.scanFrom = t
-		calT = t
-	}
-	useCal := haveCal
-	if haveCal && len(e.far) > 0 {
-		b := &e.buckets[int(calT&calMask)]
-		useCal = b.evs[b.head].less(e.far[0])
-	}
-	if useCal {
-		if calT > end {
+	if e.calCount == 0 {
+		// The calendar holds every event before horizon, so the far heap's
+		// head is the next event: advancing to it migrates it in.
+		if len(e.far) == 0 || e.far[0].t > end {
 			return event{}, false
 		}
-		bi := int(calT & calMask)
-		b := &e.buckets[bi]
-		ev := b.evs[b.head]
-		b.head++
-		if b.head == len(b.evs) {
-			b.evs = b.evs[:0]
-			b.head = 0
-			e.occ[bi>>6] &^= 1 << uint(bi&63)
-		}
-		e.calCount--
-		e.now = calT
-		return ev, true
+		e.advance(e.far[0].t)
 	}
-	if len(e.far) == 0 {
+	// Find the earliest non-empty bucket. All calendar events sit in
+	// [now, horizon) and each tick owns one bucket, so the nearest set
+	// occupancy bit (in circular order from the cursor) is the minimum.
+	t := e.scanFrom
+	if t < e.now {
+		t = e.now
+	}
+	sb := int(t & calMask)
+	w := sb >> 6
+	found := e.occ[w] &^ (1<<uint(sb&63) - 1)
+	for found == 0 {
+		w = (w + 1) % (calSize / 64)
+		found = e.occ[w]
+	}
+	bi := w<<6 + bits.TrailingZeros64(found)
+	t += Time((bi - sb) & calMask)
+	e.scanFrom = t
+	if t > end {
 		return event{}, false
 	}
-	if e.far[0].t > end {
-		return event{}, false
+	if t != e.now {
+		e.advance(t)
 	}
-	ev := e.far.pop()
-	e.now = ev.t
+	b := &e.buckets[bi]
+	ev := b.evs[b.head]
+	b.head++
+	if b.head == len(b.evs) {
+		b.evs = b.evs[:0]
+		b.head = 0
+		e.occ[bi>>6] &^= 1 << uint(bi&63)
+	}
+	e.calCount--
 	return ev, true
+}
+
+// advance moves now to t and migrates every far event before the new horizon
+// into its bucket, in (t, seq) order. Those ticks lay beyond the old horizon,
+// so their buckets are empty and nothing scheduled directly is ahead of them.
+func (e *engine) advance(t Time) {
+	e.now = t
+	e.horizon = t + e.win
+	for len(e.far) > 0 && e.far[0].t < e.horizon {
+		f := e.far.pop()
+		e.calPush(f.t, f.ev)
+	}
 }
 
 // pending reports the number of queued events.
@@ -265,9 +293,9 @@ func (e *engine) pending() int { return e.calCount + len(e.far) }
 // eventHeap is a monomorphic binary min-heap on (t, seq). Hand-rolled push
 // and pop avoid the interface boxing of container/heap: no per-event
 // allocation, no dynamic dispatch.
-type eventHeap []event
+type eventHeap []farEvent
 
-func (h *eventHeap) push(ev event) {
+func (h *eventHeap) push(ev farEvent) {
 	*h = append(*h, ev)
 	hh := *h
 	i := len(hh) - 1
@@ -281,7 +309,7 @@ func (h *eventHeap) push(ev event) {
 	}
 }
 
-func (h *eventHeap) pop() event {
+func (h *eventHeap) pop() farEvent {
 	hh := *h
 	top := hh[0]
 	n := len(hh) - 1

@@ -10,17 +10,24 @@ import (
 )
 
 // BenchmarkEngineSchedule measures the raw scheduler: schedule+pop cycles
-// through the calendar fast path and the heap fallback, reporting ns/event so
-// engine regressions are visible independently of the figure benchmarks.
+// through the calendar window and the far heap, reporting ns/event so engine
+// regressions are visible independently of the figure benchmarks. Each case
+// keeps a standing population of events and reschedules every popped one
+// ahead of now:
+//
+//   - calendar/near: offsets 1..256 ns, always inside the window;
+//   - calendar/mixed: offsets 1..2*calSize ns, about half of them beyond
+//     the window, so about half the events migrate in from the far heap;
+//   - generation: 512 standing events at phases 1..512 ns, each rescheduled
+//     exactly 512 ns ahead — the open-loop generators' shape at load 0.5
+//     with 256-byte packets;
+//   - heap: the calendar/near offsets in heap-only mode (1 ns window).
 func BenchmarkEngineSchedule(b *testing.B) {
-	bench := func(b *testing.B, horizon Time, heapOnly bool) {
+	bench := func(b *testing.B, standing int, phase, offset func(i int) Time, heapOnly bool) {
 		var e engine
-		e.heapOnly = heapOnly
-		// Keep a standing population of 64 events so pops never drain the
-		// queue to a trivial state.
-		const standing = 64
+		e.setup(heapOnly)
 		for i := 0; i < standing; i++ {
-			e.schedule(e.now+Time(i%int(horizon))+1, event{kind: evKick})
+			e.schedule(phase(i), event{kind: evKick})
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -30,14 +37,21 @@ func BenchmarkEngineSchedule(b *testing.B) {
 				b.Fatal("queue drained")
 			}
 			_ = ev
-			e.schedule(e.now+Time(i%int(horizon))+1, event{kind: evKick})
+			e.schedule(e.now+offset(i), event{kind: evKick})
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
 	}
-	b.Run("calendar/near", func(b *testing.B) { bench(b, 256, false) })
-	b.Run("calendar/mixed", func(b *testing.B) { bench(b, 2*calSize, false) })
-	b.Run("heap", func(b *testing.B) { bench(b, 256, true) })
+	spread := func(horizon int) func(int) Time {
+		return func(i int) Time { return Time(i%horizon) + 1 }
+	}
+	near, mixed := spread(256), spread(2*calSize)
+	b.Run("calendar/near", func(b *testing.B) { bench(b, 64, near, near, false) })
+	b.Run("calendar/mixed", func(b *testing.B) { bench(b, 64, mixed, mixed, false) })
+	b.Run("generation", func(b *testing.B) {
+		bench(b, 512, spread(512), func(int) Time { return 512 }, false)
+	})
+	b.Run("heap", func(b *testing.B) { bench(b, 64, near, near, true) })
 }
 
 func benchSubnet(b *testing.B, m, n int) *ib.Subnet {

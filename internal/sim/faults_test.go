@@ -248,18 +248,20 @@ func TestFaultPlanDeterminism(t *testing.T) {
 	cfg.PathSelect = SelectRandom()
 	cfg.TracePackets = 4
 	cfg.CollectPortStats = true
-	run := func() Result {
-		res, err := Run(cfg)
+	run := func(heapOnly bool) Result {
+		c := cfg
+		c.HeapOnlyScheduler = heapOnly
+		res, err := Run(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b := run(), run()
+	a, b := run(false), run(false)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same faulted config, different results:\n a: %+v\n b: %+v", a, b)
 	}
-	heapOnly := withHeapOnlyEngine(t, run)
+	heapOnly := run(true)
 	if !reflect.DeepEqual(a, heapOnly) {
 		t.Errorf("calendar and heap-only scheduler paths disagree on a faulted run:\n cal:  %s\n heap: %s",
 			fingerprint(a), fingerprint(heapOnly))

@@ -204,15 +204,17 @@ func TestInBandSMFailoverDeterminism(t *testing.T) {
 	base.Transport = inbandTransport()
 	base.VerifyEpochs = false // keeps the test fast; results are identical either way
 
-	run := func() Result {
-		res, err := Run(base)
+	run := func(heapOnly bool) Result {
+		c := base
+		c.HeapOnlyScheduler = heapOnly
+		res, err := Run(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 
-	ref := run()
+	ref := run(false)
 	if ref.Failovers != 1 {
 		t.Fatalf("Failovers = %d, want exactly 1 (takeover at the sweep, sticky through revival)", ref.Failovers)
 	}
@@ -227,10 +229,10 @@ func TestInBandSMFailoverDeterminism(t *testing.T) {
 			got, ref.TotalGenerated)
 	}
 
-	if got := run(); !reflect.DeepEqual(ref, got) {
+	if got := run(false); !reflect.DeepEqual(ref, got) {
 		t.Errorf("repeated run diverged:\n ref: %s\n got: %s", fingerprint(ref), fingerprint(got))
 	}
-	if got := withHeapOnlyEngine(t, run); !reflect.DeepEqual(ref, got) {
+	if got := run(true); !reflect.DeepEqual(ref, got) {
 		t.Errorf("heap-only engine diverged:\n ref: %s\n got: %s", fingerprint(ref), fingerprint(got))
 	}
 }

@@ -313,19 +313,21 @@ func TestSelectorFamilyFaultDeterminism(t *testing.T) {
 			}
 			cfg := faultCfg(t, core.NewMLID(), plan)
 			cfg.PathSelect = sel
-			run := func() Result {
-				res, err := Run(cfg)
+			run := func(heapOnly bool) Result {
+				c := cfg
+				c.HeapOnlyScheduler = heapOnly
+				res, err := Run(c)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			a, b := run(), run()
+			a, b := run(false), run(false)
 			if !reflect.DeepEqual(a, b) {
 				t.Errorf("%s: same faulted config, different results:\n a: %s\n b: %s",
 					name, fingerprint(a), fingerprint(b))
 			}
-			heapOnly := withHeapOnlyEngine(t, run)
+			heapOnly := run(true)
 			if !reflect.DeepEqual(a, heapOnly) {
 				t.Errorf("%s: calendar and heap-only schedulers disagree:\n cal:  %s\n heap: %s",
 					name, fingerprint(a), fingerprint(heapOnly))

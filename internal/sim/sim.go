@@ -461,7 +461,7 @@ func build(cfg Config) *Sim {
 		ia:      float64(cfg.PacketSize) * float64(cfg.NsPerByte) / cfg.OfferedLoad,
 		faults:  &faultRun{},
 	}
-	s.engine.heapOnly = engineHeapOnly || cfg.HeapOnlyScheduler
+	s.engine.setup(cfg.HeapOnlyScheduler)
 	// The reliable transport claims one management VL for ACK/NAK traffic on
 	// top of the data VLs; without it the port arrays keep their classic
 	// shape, byte for byte.
