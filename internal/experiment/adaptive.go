@@ -52,7 +52,8 @@ type AdaptiveSpec struct {
 	Transport sim.TransportConfig
 	// Seed drives the traffic, the fault schedules, and the runs.
 	Seed int64
-	// HeapOnlyScheduler forces the engine's fallback heap path.
+	// HeapOnlyScheduler runs the engine with a 1 ns calendar window, so
+	// every future event takes the far heap and migrates in.
 	HeapOnlyScheduler bool
 }
 

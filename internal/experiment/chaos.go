@@ -44,8 +44,9 @@ type ChaosSpec struct {
 	// Seed drives both the fault-schedule generation and the runs; the same
 	// seed reproduces the same campaign bit for bit.
 	Seed int64
-	// HeapOnlyScheduler forces the engine's fallback heap path (the
-	// determinism soak diffs it against the calendar path).
+	// HeapOnlyScheduler runs the engine with a 1 ns calendar window, so
+	// every future event takes the far heap and migrates in; the
+	// determinism soak diffs it against the default window.
 	HeapOnlyScheduler bool
 }
 
